@@ -7,6 +7,16 @@ convergence via an explicit Riccati majorant, and ships an inverse-gravimetry
 benchmark with a sweep/export harness and CLI.
 """
 
+import os
+
+# The flow makes many small BLAS calls per step (matrices of at most a few MB),
+# where OpenBLAS's worker threads cost more in wake-ups and spinning than they
+# save, and make run times swing with whatever else holds the other cores.
+# Default OpenBLAS to one thread.  This only takes effect if numpy is not yet
+# imported, and a thread count set in the environment wins.
+if "OMP_NUM_THREADS" not in os.environ:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .certificate import (
     Certificate,
     CertificateInputs,

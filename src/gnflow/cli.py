@@ -21,8 +21,9 @@ from typing import Optional, Sequence
 from .certificate import CertificateInputs, build_certificate
 from .errors import DomainError, NumericalError, ScheduleError
 from .flow import SolverConfig, run_flow
-from .gravimetry import GravimetryModel, GravimetryParams, initial_guess, true_interface
+from .gravimetry import GravimetryParams
 from .harness import (
+    build_problem,
     load_spec,
     parse_stop_rule,
     run_table,
@@ -112,15 +113,13 @@ def _cmd_solve(args) -> int:
             stop_rule=stop_rule,
             record_every=args.record_every,
         )
+        # an inadmissible geometry raises DomainError here: a usage error
+        model, x0, reference = build_problem(params)
     except (ScheduleError, ValueError) as exc:
         return _fail(str(exc), USAGE_ERROR)
 
     try:
-        model = GravimetryModel.synthetic(params)
-        report = run_flow(
-            model, schedule, initial_guess(params), config,
-            reference=true_interface(params),
-        )
+        report = run_flow(model, schedule, x0, config, reference=reference)
         rows = [
             (
                 "stepper", "schedule", "tau", "N",

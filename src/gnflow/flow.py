@@ -19,11 +19,21 @@ from dataclasses import dataclass
 from typing import Literal, Optional, Union
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DomainError, GridMismatchError, NonFiniteValueError, NumericalError
 from .grids import Grid, GridFunction, QuadratureWeights, l2_norm, sup_norm
 from .schedules import Schedule, validate_rate_function
+
+# Rank of the first sketch of a Jacobian.  The gravimetry Jacobians have
+# numerical rank 20-22 from 201 to 801 nodes, so one sketch resolves them.
+SKETCH_SIZE = 32
+# Extra Gaussian probes that estimate the discarded tail of the sketch.
+TAIL_PROBES = 6
+# A sketch resolves alpha when tail^2 <= TAIL_TOL * alpha: the discarded part
+# of B then moves a solve by at most about tail / sqrt(alpha) <= 1e-6 relative.
+TAIL_TOL = 1e-12
+# Seed of the Gaussian sketches, fixed so that every solve is deterministic.
+SKETCH_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -61,28 +71,78 @@ class JacobianMatrix:
         """S J S^{-1} with S = diag(sqrt(w)); shares singular values with
         the weighted operator and makes the normal matrix plainly symmetric."""
         s = np.sqrt(self.quadrature.weights)
-        return (self.matrix * s[:, None]) / s[None, :]
+        b = self.matrix * s[:, None]
+        b /= s[None, :]
+        return b
 
     def normal_solve(self, alpha: float, rhs: np.ndarray) -> np.ndarray:
-        """Solve (J* J + alpha I) d = rhs by Cholesky factorization.
+        """Solve (J* J + alpha I) d = rhs through a truncated SVD of B = S J S^{-1}.
 
-        The system is solved in symmetrized coordinates where it is plainly
-        symmetric positive definite (alpha > 0 guarantees definiteness).
+        With z = S rhs and B ~ U diag(sigma) V^T on the sketched subspace,
+
+            d = S^{-1} [V (sigma^2 + alpha)^{-1} V^T z + (z - V V^T z) / alpha],
+
+        which treats B as zero off the subspace.  The sketch rank doubles, up
+        to the dense SVD, until the estimated discarded part of B is resolved
+        at this alpha.
         """
         if alpha <= 0:
             raise NumericalError(f"normal equations need alpha > 0, got {alpha}")
-        s = np.sqrt(self.quadrature.weights)
         b = self.symmetrized()
-        system = b.T @ b
-        system[np.diag_indices_from(system)] += alpha
-        try:
-            factor = scipy.linalg.cho_factor(system, lower=True, check_finite=False)
-            d = scipy.linalg.cho_solve(factor, s * rhs, check_finite=False) / s
-        except (scipy.linalg.LinAlgError, ValueError) as exc:
-            raise NumericalError(f"normal-equation factorization failed: {exc}") from exc
+        spectrum = _Spectrum.of(b, SKETCH_SIZE)
+        while spectrum.tail**2 > TAIL_TOL * alpha:
+            spectrum = _Spectrum.of(b, 2 * spectrum.rank)
+        s = np.sqrt(self.quadrature.weights)
+        z = s * rhs
+        coeffs = spectrum.v.T @ z
+        y = spectrum.v @ (coeffs / (spectrum.sigma**2 + alpha))
+        if spectrum.rank < len(z):  # for the dense SVD this is rounding noise over alpha
+            y += (z - spectrum.v @ coeffs) / alpha
+        d = y / s
         if not np.all(np.isfinite(d)):
             raise NumericalError("normal-equation solve produced non-finite values")
         return d
+
+
+@dataclass(frozen=True)
+class _Spectrum:
+    """Singular values `sigma` and right singular vectors `v` (n x rank) of a
+    square matrix B on a subspace, and `tail`, an estimate of the norm of B
+    off that subspace (zero for the dense SVD)."""
+
+    sigma: np.ndarray
+    v: np.ndarray
+    tail: float
+
+    @property
+    def rank(self) -> int:
+        return len(self.sigma)
+
+    @classmethod
+    def of(cls, b: np.ndarray, k: int) -> _Spectrum:
+        """Randomized SVD of b on a k-dimensional sketch of its row space
+        (Halko, Martinsson & Tropp, SIAM Rev. 53, 2011, Alg. 4.1 and 5.1),
+        or the dense SVD once k reaches the size of b.
+
+        The tail is ||B (I - Q Q^T)||, bounded by 10 sqrt(2/pi) times the
+        largest projected probe, with probability 1 - 10^-TAIL_PROBES (their
+        eq. 4.3).
+        """
+        n = b.shape[0]
+        try:
+            if k >= n:
+                _, sigma, vt = np.linalg.svd(b)
+                return cls(sigma, vt.T, 0.0)
+            omega = np.random.default_rng(SKETCH_SEED).standard_normal((n, k + TAIL_PROBES))
+            y = b.T @ omega
+            q, _ = np.linalg.qr(y[:, :k])
+            probes = y[:, k:] - q @ (q.T @ y[:, k:])
+            largest_probe = float(np.max(np.linalg.norm(probes, axis=0)))
+            tail = 10.0 * math.sqrt(2.0 / math.pi) * largest_probe
+            _, sigma, wt = np.linalg.svd(b @ q, full_matrices=False)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"SVD of the Jacobian failed: {exc}") from exc
+        return cls(sigma, q @ wt.T, tail)
 
 
 class OperatorModel(ABC):
@@ -133,10 +193,9 @@ class FirstDiscrepancyIncrease:
     """Stop after `patience` consecutive steps above the running minimum
     discrepancy, and report the minimizing iterate.
 
-    Also stops once the schedule value drops below `alpha_floor`: below
-    roughly 1e2 times the float64 epsilon the regularization no longer
-    shifts the spectrum of the normal matrix, so further steps resolve
-    rounding noise instead of data and eventually break the factorization.
+    Also stops once the schedule value drops below `alpha_floor`, about 450
+    float64 epsilons by default: further steps fit rounding noise rather
+    than data.
     """
 
     patience: int = 3

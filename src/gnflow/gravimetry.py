@@ -54,6 +54,15 @@ class GravimetryParams:
     def quadrature(self) -> QuadratureWeights:
         return simpson_weights(self.grid)
 
+    @cached_property
+    def squared_distances(self) -> np.ndarray:
+        """(t_i - s_j)^2 over the grid nodes, shared by every kernel
+        evaluation (read-only)."""
+        nodes = self.grid.nodes
+        d2 = (nodes[:, None] - nodes[None, :]) ** 2
+        d2.flags.writeable = False
+        return d2
+
     def admissibility_violation(self, values: np.ndarray) -> Optional[str]:
         ceiling = self.depth - self.epsilon
         worst = float(np.max(values))
@@ -85,16 +94,15 @@ def _check_admissible(x: GridFunction, p: GravimetryParams) -> None:
         raise DomainError(reason)
 
 
-def _squared_distances(p: GravimetryParams) -> np.ndarray:
-    nodes = p.grid.nodes
-    return (nodes[:, None] - nodes[None, :]) ** 2
-
-
 def forward(x: GridFunction, p: GravimetryParams) -> GridFunction:
     """Gravity anomaly produced by the interface x, by Simpson quadrature."""
     _check_admissible(x, p)
-    d2 = _squared_distances(p)
-    k = np.log((d2 + p.depth**2) / (d2 + (p.depth - x.values[None, :]) ** 2))
+    d2 = p.squared_distances
+    # In place where possible: each n x n temporary is a fresh allocation,
+    # and at a few hundred KB each they cost page faults on every call.
+    k = d2 + p.depth**2
+    k /= d2 + (p.depth - x.values[None, :]) ** 2
+    np.log(k, out=k)
     g = (p.density / (4.0 * np.pi)) * (k @ p.quadrature.weights)
     return GridFunction(p.grid, g)
 
@@ -107,10 +115,11 @@ def frechet_matrix(x: GridFunction, p: GravimetryParams) -> JacobianMatrix:
     Entries are finite and positive whenever x < H.
     """
     _check_admissible(x, p)
-    d2 = _squared_distances(p)
     depth_gap = p.depth - x.values[None, :]
-    kd = 2.0 * depth_gap / (d2 + depth_gap**2)
-    j = (p.density / (4.0 * np.pi)) * kd * p.quadrature.weights[None, :]
+    j = p.squared_distances + depth_gap**2
+    np.divide(2.0 * depth_gap, j, out=j)
+    j *= p.density / (4.0 * np.pi)
+    j *= p.quadrature.weights[None, :]
     return JacobianMatrix(j, p.quadrature)
 
 

@@ -73,14 +73,6 @@ class GridFunction:
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
-    def with_values(self, values: np.ndarray) -> GridFunction:
-        """New function on the same grid (values validated as usual)."""
-        return GridFunction(self.grid, values)
-
-    @classmethod
-    def from_callable(cls, grid: Grid, fn) -> GridFunction:
-        return cls(grid, np.asarray([fn(t) for t in grid.nodes], dtype=float))
-
     @classmethod
     def constant(cls, grid: Grid, value: float) -> GridFunction:
         return cls(grid, np.full(grid.node_count, float(value)))

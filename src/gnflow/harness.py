@@ -88,6 +88,19 @@ class ExperimentSpec:
                 f"unknown synthetic problem {self.problem!r}; "
                 f"expected one of {SYNTHETIC_PROBLEMS}"
             )
+        for stepper in self.steppers:
+            for tau in self.tau_values:
+                self.solver_config(stepper, tau)
+
+    def solver_config(self, stepper: str, tau: float) -> SolverConfig:
+        """The flow settings of one run of the sweep."""
+        return SolverConfig(
+            stepper=stepper,
+            tau=tau,
+            max_steps=self.max_steps,
+            stop_rule=self.stop_rule,
+            record_every=self.record_every,
+        )
 
 
 @dataclass(frozen=True)
@@ -145,13 +158,7 @@ def run_table(spec: ExperimentSpec) -> list[TableRow]:
         for tau in spec.tau_values:
             row = TableRow(schedule=schedule.describe(), tau=tau)
             for stepper in spec.steppers:
-                config = SolverConfig(
-                    stepper=stepper,
-                    tau=tau,
-                    max_steps=spec.max_steps,
-                    stop_rule=spec.stop_rule,
-                    record_every=spec.record_every,
-                )
+                config = spec.solver_config(stepper, tau)
                 report = run_flow(model, schedule, x0, config, reference=reference)
                 if stepper == "euler":
                     row = replace(
@@ -274,31 +281,58 @@ def spec_to_config(spec: ExperimentSpec) -> dict:
     }
 
 
+_JSON_TYPE_NAMES = {dict: "object", list: "array", str: "string", float: "number", int: "integer"}
+
+
+def _checked(value, name: str, kind: type):
+    """A config value checked to be of the JSON type `kind` stands for; a
+    number field also takes an integer."""
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ValueError(f"{name} must be a JSON {_JSON_TYPE_NAMES[kind]}, got {value!r}")
+    return kind(value)
+
+
 def spec_from_config(config: dict) -> ExperimentSpec:
-    """Build a spec from a parsed JSON config document."""
+    """Build a spec from a parsed JSON config document.
+
+    Every field is type-checked, and the problem and each run's
+    `SolverConfig` are built here, so a config the sweep cannot run raises
+    ValueError (DomainError for an inadmissible geometry) before any run
+    starts.
+    """
+    config = _checked(config, "config", dict)
     problem = config.get("problem", {})
     if isinstance(problem, str):
         problem_obj: Union[GravimetryParams, str] = problem
     else:
+        problem = _checked(problem, "problem", dict)
         problem_obj = GravimetryParams(
-            half_width=float(problem.get("l", 1.0)),
-            depth=float(problem.get("H", 2.0)),
-            density=float(problem.get("rho", 1.0)),
-            epsilon=float(problem.get("epsilon", 1e-3)),
-            node_count=int(problem.get("grid_n", 201)),
+            half_width=_checked(problem.get("l", 1.0), "problem.l", float),
+            depth=_checked(problem.get("H", 2.0), "problem.H", float),
+            density=_checked(problem.get("rho", 1.0), "problem.rho", float),
+            epsilon=_checked(problem.get("epsilon", 1e-3), "problem.epsilon", float),
+            node_count=_checked(problem.get("grid_n", 201), "problem.grid_n", int),
         )
-    schedules = [parse_schedule(s) for s in config.get("schedules", [])]
-    return ExperimentSpec(
+    schedules = _checked(config.get("schedules", []), "schedules", list)
+    tau_values = _checked(config.get("tau_values", []), "tau_values", list)
+    steppers = _checked(config.get("steppers", ["euler", "rk"]), "steppers", list)
+    output_path = config.get("output_path")
+    spec = ExperimentSpec(
         problem=problem_obj,
-        schedules=schedules,
-        tau_values=[float(t) for t in config.get("tau_values", [])],
-        steppers=list(config.get("steppers", ("euler", "rk"))),
-        stop_rule=parse_stop_rule(config.get("stop_rule", "increase:3")),
-        max_steps=int(config.get("max_steps", 500)),
-        record_every=int(config.get("record_every", 1)),
-        output_path=config.get("output_path"),
-        seed=int(config.get("seed", 0)),
+        schedules=[parse_schedule(_checked(s, "schedule", str)) for s in schedules],
+        tau_values=[_checked(t, "tau", float) for t in tau_values],
+        steppers=[_checked(s, "stepper", str) for s in steppers],
+        stop_rule=parse_stop_rule(
+            _checked(config.get("stop_rule", "increase:3"), "stop_rule", str)
+        ),
+        max_steps=_checked(config.get("max_steps", 500), "max_steps", int),
+        record_every=_checked(config.get("record_every", 1), "record_every", int),
+        output_path=None if output_path is None else _checked(output_path, "output_path", str),
+        seed=_checked(config.get("seed", 0), "seed", int),
     )
+    build_problem(spec.problem)
+    return spec
 
 
 def load_spec(path) -> ExperimentSpec:

@@ -2,9 +2,14 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gnflow
 from gnflow.cli import main
 
 
@@ -77,6 +82,12 @@ class TestSolve:
         )
         assert rc == 2
 
+    def test_inadmissible_geometry_usage_error(self, capsys):
+        # the benchmark interface reaches height 1, above H - epsilon = 0.499
+        rc = run_cli(["solve", "--schedule", "exp:alpha0=0.1,beta=1", "--H", "0.5"])
+        assert rc == 2
+        assert "admissible" in capsys.readouterr().err
+
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             run_cli(["solve", "--schedule", "exp:alpha0=0.1,beta=1", "--frobnicate"])
@@ -118,10 +129,21 @@ class TestTable:
         rc = run_cli(["table", "--config", str(tmp_path / "nope.json")])
         assert rc == 2
 
-    def test_invalid_config_usage_error(self, tmp_path):
+    def test_invalid_config_usage_error(self, tmp_path, capsys):
+        runnable = {"schedules": ["exp:alpha0=0.1,beta=1"], "tau_values": [0.1]}
+        bad_configs = [
+            {"schedules": [], "tau_values": [0.1]},
+            {**runnable, "problem": {"H": 1.0005, "epsilon": 0.001}},
+            {**runnable, "max_steps": 0},
+            [runnable],
+            {**runnable, "schedules": "exp:alpha0=0.1,beta=1"},
+        ]
         cfg = tmp_path / "bad.json"
-        cfg.write_text(json.dumps({"schedules": [], "tau_values": [0.1]}))
-        assert run_cli(["table", "--config", str(cfg)]) == 2
+        for config in bad_configs:
+            cfg.write_text(json.dumps(config))
+            assert run_cli(["table", "--config", str(cfg)]) == 2, config
+            err = capsys.readouterr().err
+            assert err.startswith("gnflow: bad config:") and "Traceback" not in err
 
 
 class TestCertify:
@@ -180,3 +202,33 @@ class TestValidateSchedule:
         assert rc == 2
         err = capsys.readouterr().err
         assert "beta" in err and "positive" in err
+
+
+class TestBlasThreadDefault:
+    """`import gnflow` defaults OpenBLAS to one thread unless the
+    environment already sets a thread count."""
+
+    @pytest.mark.parametrize(
+        "env, expected",
+        [
+            ({}, "1"),
+            ({"OPENBLAS_NUM_THREADS": "3"}, "3"),
+            ({"OMP_NUM_THREADS": "2"}, None),
+        ],
+    )
+    def test_import_sets_default(self, env, expected):
+        src = str(Path(gnflow.__file__).resolve().parents[1])
+        base = {
+            k: v
+            for k, v in os.environ.items()
+            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+        }
+        code = "import gnflow, os; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**base, **env, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert done.stdout.strip() == str(expected)

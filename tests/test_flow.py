@@ -9,6 +9,8 @@ from gnflow import (
     Exponential,
     FirstDiscrepancyIncrease,
     FixedSteps,
+    GravimetryModel,
+    GravimetryParams,
     Grid,
     GridFunction,
     InversePower,
@@ -55,13 +57,34 @@ class TestJacobianMatrix:
             assert lhs == pytest.approx(rhs, rel=1e-10)
 
     def test_normal_solve_residual(self):
+        # n = 65 is full rank and wider than the first sketch, so the solve
+        # must grow the sketch to the dense SVD
         rng = np.random.default_rng(22)
-        for alpha in (1e-3, 0.1, 1.0, 10.0):
-            jac = random_jacobian(rng, n=15, l=1.0)
-            rhs = rng.standard_normal(15)
+        for n in (15, 65):
+            for alpha in (1e-3, 0.1, 1.0, 10.0):
+                jac = random_jacobian(rng, n=n, l=1.0)
+                rhs = rng.standard_normal(n)
+                d = jac.normal_solve(alpha, rhs)
+                lhs = jac.adjoint_apply(jac.apply(d)) + alpha * d
+                assert np.linalg.norm(lhs - rhs) <= 1e-10 * np.linalg.norm(rhs)
+
+    @pytest.mark.parametrize("point", [initial_guess, true_interface])
+    def test_normal_solve_matches_dense_svd_oracle(self, point):
+        # down to the default alpha_floor, on the benchmark Jacobian
+        params = GravimetryParams()
+        matrix = GravimetryModel.synthetic(params).jacobian(point(params)).matrix
+        quad = params.quadrature
+        s = np.sqrt(quad.weights)
+        _, sigma, vt = np.linalg.svd(JacobianMatrix(matrix, quad).symmetrized())
+        jac = JacobianMatrix(matrix, quad)
+        rng = np.random.default_rng(25)
+        for alpha in (1e-1, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-13):
+            rhs = rng.standard_normal(len(s))
+            expected = (vt.T @ ((vt @ (s * rhs)) / (sigma**2 + alpha))) / s
             d = jac.normal_solve(alpha, rhs)
-            lhs = jac.adjoint_apply(jac.apply(d)) + alpha * d
-            assert np.linalg.norm(lhs - rhs) <= 1e-10 * np.linalg.norm(rhs)
+            assert np.linalg.norm(d - expected) <= 1e-10 * np.linalg.norm(expected), alpha
+            fresh = JacobianMatrix(matrix, quad).normal_solve(alpha, rhs)
+            assert np.array_equal(d, fresh)
 
     def test_non_finite_rejected(self):
         grid = Grid(1.0, 3)

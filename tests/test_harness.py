@@ -133,7 +133,7 @@ class TestRunTable:
         assert paths[0] == paths[1]
 
     def test_degraded_run_recorded_in_band(self):
-        # large tau and fast decay past the factorization breakdown: the row
+        # large tau and fast decay far below alpha_floor: the row
         # must carry a large error or the diverged flag, never an exception
         spec = ExperimentSpec(
             schedules=[Exponential(0.1, 10.0)],
