@@ -40,6 +40,7 @@ from .flow import (
     FirstDiscrepancyIncrease,
     FixedSteps,
     JacobianMatrix,
+    Linearization,
     OperatorModel,
     RunReport,
     SolverConfig,
@@ -56,7 +57,6 @@ from .gravimetry import (
     frechet_matrix,
     initial_guess,
     kernel,
-    model_interface,
     synthesize_data,
     true_interface,
 )

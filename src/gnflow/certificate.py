@@ -51,6 +51,11 @@ class CertificateInputs:
     source: str = "assumed"
 
     def __post_init__(self):
+        values = [self.n1, self.n2, self.v_norm, self.alpha0, self.logderiv0, self.radius]
+        if self.w0 is not None:
+            values.append(self.w0)
+        if not all(map(math.isfinite, values)):
+            raise ValueError("certificate inputs must be finite")
         if self.n1 <= 0 or self.n2 <= 0:
             raise ValueError("derivative bounds n1, n2 must be positive")
         if self.v_norm < 0:

@@ -19,7 +19,7 @@ import sys
 from typing import Optional, Sequence
 
 from .certificate import CertificateInputs, build_certificate
-from .errors import DomainError, NumericalError, ScheduleError
+from .errors import NumericalError, ScheduleError
 from .flow import SolverConfig, run_flow
 from .gravimetry import GravimetryParams
 from .harness import (
@@ -144,7 +144,8 @@ def _cmd_solve(args) -> int:
             csv.writer(sys.stdout).writerows(rows)
         if args.trajectory:
             trajectory_export(report, args.trajectory)
-    except (DomainError, NumericalError, OSError) as exc:
+    # ValueError: a non-finite linearization at x0, or a NUL byte in a path
+    except (ValueError, NumericalError, OSError) as exc:
         return _fail(str(exc), RUNTIME_ERROR)
     return 0
 
@@ -164,7 +165,7 @@ def _cmd_table(args) -> int:
             write_table_csv(rows, out)
         else:
             write_table_rows(rows, sys.stdout)
-    except OSError as exc:
+    except (ValueError, NumericalError, OSError) as exc:
         return _fail(str(exc), RUNTIME_ERROR)
     return 0
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Literal, Optional, Union
+from typing import Literal, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -145,12 +145,20 @@ class _Spectrum:
         return cls(sigma, q @ wt.T, tail)
 
 
+class Linearization(NamedTuple):
+    """phi(x) and phi'(x) at one point."""
+
+    residual: GridFunction
+    jacobian: JacobianMatrix
+
+
 class OperatorModel(ABC):
     """Nonlinear problem phi(x) = 0 posed on one shared grid.
 
     `jacobian` must return the Frechet derivative of `residual`: directional
     finite differences of the residual agree with the Jacobian action to
-    first order at every admissible point.
+    first order at every admissible point.  The flow gets both through
+    `linearize`, which a model may override to share work between them.
     """
 
     @property
@@ -168,6 +176,10 @@ class OperatorModel(ABC):
     @abstractmethod
     def jacobian(self, x: GridFunction) -> JacobianMatrix:
         """phi'(x) as a dense matrix with the weighted adjoint attached."""
+
+    def linearize(self, x: GridFunction) -> Linearization:
+        """`residual(x)` and `jacobian(x)` together."""
+        return Linearization(self.residual(x), self.jacobian(x))
 
     def domain_violation(self, x: GridFunction) -> Optional[str]:
         """None when x is admissible, else a human-readable reason."""
@@ -217,13 +229,13 @@ class SolverConfig:
     def __post_init__(self):
         if self.stepper not in ("euler", "rk"):
             raise ValueError(f"unknown stepper {self.stepper!r}")
-        if not self.tau > 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
+        if not 0 < self.tau < math.inf:
+            raise ValueError(f"tau must be positive and finite, got {self.tau}")
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
         if self.record_every < 1:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")
-        if isinstance(self.stop_rule, DiscrepancyFloor) and self.stop_rule.tol < 0:
+        if isinstance(self.stop_rule, DiscrepancyFloor) and not self.stop_rule.tol >= 0:
             raise ValueError("discrepancy floor must be nonnegative")
         if isinstance(self.stop_rule, FixedSteps) and self.stop_rule.count < 0:
             raise ValueError("fixed step count must be nonnegative")
@@ -268,12 +280,14 @@ def velocity(
     t: float,
     x: GridFunction,
     x0: GridFunction,
+    lin: Optional[Linearization] = None,
 ) -> GridFunction:
     """Right-hand side of the regularized Gauss-Newton flow at (t, x).
 
     Solves (J* J + alpha(t) I) d = -(J* phi(x) + alpha(t) (x - x0)) with the
     weighted adjoint J*; the system matrix is symmetric positive definite in
-    the weighted inner product.
+    the weighted inner product.  `lin` is the linearization at x, computed
+    here when omitted.
     """
     if x.grid != model.grid or x0.grid != model.grid:
         raise GridMismatchError("x and x0 must live on the model grid")
@@ -281,8 +295,7 @@ def velocity(
     if reason is not None:
         raise DomainError(reason)
     alpha = schedule.alpha(t)
-    jac = model.jacobian(x)
-    res = model.residual(x)
+    res, jac = lin if lin is not None else model.linearize(x)
     rhs = -(jac.adjoint_apply(res.values) + alpha * (x.values - x0.values))
     return GridFunction(model.grid, jac.normal_solve(alpha, rhs))
 
@@ -294,10 +307,12 @@ def euler_step(
     x_k: GridFunction,
     x0: GridFunction,
     tau: float,
+    lin: Optional[Linearization] = None,
 ) -> GridFunction:
     """x_{k+1} = x_k + tau * F(t_k, x_k); with tau = 1 this is one damped
-    Gauss-Newton iteration with regularization alpha(t_k)."""
-    d = velocity(model, schedule, t_k, x_k, x0)
+    Gauss-Newton iteration with regularization alpha(t_k).  `lin` is the
+    linearization at x_k, computed when omitted."""
+    d = velocity(model, schedule, t_k, x_k, x0, lin)
     return GridFunction(model.grid, x_k.values + tau * d.values)
 
 
@@ -308,10 +323,12 @@ def rk_midpoint_step(
     x_k: GridFunction,
     x0: GridFunction,
     tau: float,
+    lin: Optional[Linearization] = None,
 ) -> GridFunction:
     """Explicit midpoint step: half Euler step, then a full step using the
-    velocity at (t_k + tau/2, x_half).  Second-order accurate in tau."""
-    d1 = velocity(model, schedule, t_k, x_k, x0)
+    velocity at (t_k + tau/2, x_half).  Second-order accurate in tau.
+    `lin` is the linearization at x_k, computed when omitted."""
+    d1 = velocity(model, schedule, t_k, x_k, x0, lin)
     x_half = GridFunction(model.grid, x_k.values + 0.5 * tau * d1.values)
     reason = model.domain_violation(x_half)
     if reason is not None:
@@ -332,9 +349,11 @@ def run_flow(
 ) -> RunReport:
     """Integrate the flow from x(0) = x0 and report the selected iterate.
 
-    The discrepancy sigma_k = ||phi(x_k)||_L2 is evaluated at every iterate
-    and drives the stop rule.  Under FirstDiscrepancyIncrease the iterate
-    with minimal discrepancy is returned and steps_taken is its index.
+    Each iterate is linearized once: its residual gives the discrepancy
+    sigma_k = ||phi(x_k)||_L2, which drives the stop rule, and the pair is
+    handed to the stepper for the next velocity.  Under
+    FirstDiscrepancyIncrease the iterate with minimal discrepancy is
+    returned and steps_taken is its index.
     Non-finite iterates or domain violations end the run in-band: the report
     carries the last good state and diverged=True.
     """
@@ -350,9 +369,6 @@ def run_flow(
     stepper = _STEPPERS[config.stepper]
     rule = config.stop_rule
     quad = model.quadrature
-
-    def sigma_at(x: GridFunction) -> float:
-        return l2_norm(model.residual(x), quad)
 
     trajectory: list[TrajectoryPoint] = []
 
@@ -373,7 +389,8 @@ def run_flow(
         )
 
     x = x0
-    sigma = sigma_at(x)
+    lin = model.linearize(x)
+    sigma = l2_norm(lin.residual, quad)
     record(0, x, sigma)
 
     best_x, best_sigma, best_k = x, sigma, 0
@@ -398,8 +415,11 @@ def run_flow(
                 stop_reason = "alpha_floor"
                 break
             try:
-                x_next = stepper(model, schedule, k * config.tau, x, x0, config.tau)
-                sigma_next = sigma_at(x_next)
+                t_k = k * config.tau
+                x_next = stepper(model, schedule, t_k, x, x0, config.tau, lin)
+                lin = None  # release J_k before assembling J_{k+1}
+                lin = model.linearize(x_next)
+                sigma_next = l2_norm(lin.residual, quad)
             except (DomainError, NumericalError, NonFiniteValueError) as exc:
                 diverged = True
                 stop_reason = f"diverged: {exc}"

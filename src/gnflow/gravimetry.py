@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError
-from .flow import JacobianMatrix, OperatorModel
+from .flow import JacobianMatrix, Linearization, OperatorModel
 from .grids import Grid, GridFunction, QuadratureWeights, simpson_weights
 
 
@@ -40,8 +40,8 @@ class GravimetryParams:
 
     def __post_init__(self):
         for name in ("half_width", "depth", "density", "epsilon"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if self.epsilon >= self.depth:
             raise ValueError("epsilon must be smaller than the depth")
         Grid(self.half_width, self.node_count)  # fail fast on a bad grid spec
@@ -86,25 +86,41 @@ def kernel(t: float, s: float, xs: float, p: GravimetryParams) -> float:
     return float(np.log((d2 + p.depth**2) / (d2 + (p.depth - xs) ** 2)))
 
 
-def _check_admissible(x: GridFunction, p: GravimetryParams) -> None:
+def _denominator(x: GridFunction, p: GravimetryParams) -> np.ndarray:
+    """(t_i - s_j)^2 + (H - x_j)^2, the n x n denominator shared by the
+    kernel and its derivative, after checking that x is admissible.  The
+    result is a fresh array the caller may overwrite."""
     if x.grid != p.grid:
         raise DomainError("interface profile is not sampled on the model grid")
     reason = p.admissibility_violation(x.values)
     if reason is not None:
         raise DomainError(reason)
+    return p.squared_distances + (p.depth - x.values[None, :]) ** 2
+
+
+def _anomaly(den: np.ndarray, p: GravimetryParams) -> np.ndarray:
+    """Nodal anomaly values from the kernel denominator (left unchanged)."""
+    # In place where possible: each n x n temporary is a fresh allocation,
+    # and at a few hundred KB each they cost page faults on every call.
+    k = p.squared_distances + p.depth**2
+    k /= den
+    np.log(k, out=k)
+    return (p.density / (4.0 * np.pi)) * (k @ p.quadrature.weights)
+
+
+def _frechet_entries(
+    den: np.ndarray, x: GridFunction, p: GravimetryParams
+) -> np.ndarray:
+    """Frechet matrix entries, written over the kernel denominator `den`."""
+    np.divide(2.0 * (p.depth - x.values[None, :]), den, out=den)
+    den *= p.density / (4.0 * np.pi)
+    den *= p.quadrature.weights[None, :]
+    return den
 
 
 def forward(x: GridFunction, p: GravimetryParams) -> GridFunction:
     """Gravity anomaly produced by the interface x, by Simpson quadrature."""
-    _check_admissible(x, p)
-    d2 = p.squared_distances
-    # In place where possible: each n x n temporary is a fresh allocation,
-    # and at a few hundred KB each they cost page faults on every call.
-    k = d2 + p.depth**2
-    k /= d2 + (p.depth - x.values[None, :]) ** 2
-    np.log(k, out=k)
-    g = (p.density / (4.0 * np.pi)) * (k @ p.quadrature.weights)
-    return GridFunction(p.grid, g)
+    return GridFunction(p.grid, _anomaly(_denominator(x, p), p))
 
 
 def frechet_matrix(x: GridFunction, p: GravimetryParams) -> JacobianMatrix:
@@ -114,18 +130,7 @@ def frechet_matrix(x: GridFunction, p: GravimetryParams) -> JacobianMatrix:
 
     Entries are finite and positive whenever x < H.
     """
-    _check_admissible(x, p)
-    depth_gap = p.depth - x.values[None, :]
-    j = p.squared_distances + depth_gap**2
-    np.divide(2.0 * depth_gap, j, out=j)
-    j *= p.density / (4.0 * np.pi)
-    j *= p.quadrature.weights[None, :]
-    return JacobianMatrix(j, p.quadrature)
-
-
-def model_interface(t: float) -> float:
-    """Benchmark interface profile (1 - t^2)^2."""
-    return float((1.0 - t * t) ** 2)
+    return JacobianMatrix(_frechet_entries(_denominator(x, p), x, p), p.quadrature)
 
 
 def synthesize_data(p: GravimetryParams) -> GridFunction:
@@ -177,6 +182,17 @@ class GravimetryModel(OperatorModel):
 
     def jacobian(self, x: GridFunction) -> JacobianMatrix:
         return frechet_matrix(x, self.params)
+
+    def linearize(self, x: GridFunction) -> Linearization:
+        """`residual` and `jacobian` from one pass over the kernel: the
+        denominator is formed once, read by the anomaly and then overwritten
+        by the Frechet entries.  Same operations in the same order, so the
+        result is bit-identical to the two separate calls."""
+        p = self.params
+        den = _denominator(x, p)
+        res = GridFunction(self.grid, _anomaly(den, p) - self.data.values)
+        jac = JacobianMatrix(_frechet_entries(den, x, p), p.quadrature)
+        return Linearization(res, jac)
 
     def domain_violation(self, x: GridFunction) -> Optional[str]:
         if x.grid != self.grid:

@@ -26,7 +26,7 @@ from .flow import (
 )
 from .grids import GridFunction
 from .gravimetry import GravimetryModel, GravimetryParams, initial_guess, true_interface
-from .schedules import Schedule, parse_schedule
+from .schedules import Schedule, parse_schedule, validate_rate_function
 from .synthetic import certified_diagonal_instance
 
 SYNTHETIC_PROBLEMS = ("certified-diagonal",)
@@ -78,6 +78,8 @@ class ExperimentSpec:
             raise ValueError("spec needs at least one tau value")
         if any(tau <= 0 for tau in self.tau_values):
             raise ValueError("tau values must be positive")
+        for schedule in self.schedules:
+            validate_rate_function(schedule)
         if not self.steppers:
             raise ValueError("spec needs at least one stepper")
         unknown = set(self.steppers) - {"euler", "rk"}
@@ -160,24 +162,17 @@ def run_table(spec: ExperimentSpec) -> list[TableRow]:
             for stepper in spec.steppers:
                 config = spec.solver_config(stepper, tau)
                 report = run_flow(model, schedule, x0, config, reference=reference)
-                if stepper == "euler":
-                    row = replace(
-                        row,
-                        n_euler=report.steps_taken,
-                        delta_e_sup=report.error_sup,
-                        delta_e_l2=report.error_l2,
-                        sigma_e=report.discrepancy,
-                        euler_diverged=report.diverged,
-                    )
-                else:
-                    row = replace(
-                        row,
-                        n_rk=report.steps_taken,
-                        delta_r_sup=report.error_sup,
-                        delta_r_l2=report.error_l2,
-                        sigma_r=report.discrepancy,
-                        rk_diverged=report.diverged,
-                    )
+                e = stepper[0]  # "e" or "r", the column prefix of the stepper
+                row = replace(
+                    row,
+                    **{
+                        f"n_{stepper}": report.steps_taken,
+                        f"delta_{e}_sup": report.error_sup,
+                        f"delta_{e}_l2": report.error_l2,
+                        f"sigma_{e}": report.discrepancy,
+                        f"{stepper}_diverged": report.diverged,
+                    },
+                )
             rows.append(row)
     if spec.output_path is not None:
         write_table_csv(rows, spec.output_path)
@@ -293,20 +288,46 @@ def _checked(value, name: str, kind: type):
     return kind(value)
 
 
+_CONFIG_KEYS = (
+    "problem",
+    "schedules",
+    "tau_values",
+    "steppers",
+    "stop_rule",
+    "max_steps",
+    "record_every",
+    "output_path",
+    "seed",
+)
+_PROBLEM_KEYS = ("l", "H", "rho", "epsilon", "grid_n")
+
+
+def _known_keys(doc: dict, name: str, known: tuple[str, ...]) -> dict:
+    """`doc`, checked to hold no key outside `known` (a misspelt key would
+    otherwise silently run with its default)."""
+    unknown = [key for key in doc if key not in known]
+    if unknown:
+        raise ValueError(
+            f"unknown {name} key(s) {', '.join(map(repr, unknown))}; "
+            f"expected {', '.join(known)}"
+        )
+    return doc
+
+
 def spec_from_config(config: dict) -> ExperimentSpec:
     """Build a spec from a parsed JSON config document.
 
-    Every field is type-checked, and the problem and each run's
-    `SolverConfig` are built here, so a config the sweep cannot run raises
-    ValueError (DomainError for an inadmissible geometry) before any run
-    starts.
+    Unknown keys are rejected, every field is type-checked, and the problem
+    and each run's `SolverConfig` are built here, so a config the sweep
+    cannot run raises ValueError (DomainError for an inadmissible geometry)
+    before any run starts.
     """
-    config = _checked(config, "config", dict)
+    config = _known_keys(_checked(config, "config", dict), "config", _CONFIG_KEYS)
     problem = config.get("problem", {})
     if isinstance(problem, str):
         problem_obj: Union[GravimetryParams, str] = problem
     else:
-        problem = _checked(problem, "problem", dict)
+        problem = _known_keys(_checked(problem, "problem", dict), "problem", _PROBLEM_KEYS)
         problem_obj = GravimetryParams(
             half_width=_checked(problem.get("l", 1.0), "problem.l", float),
             depth=_checked(problem.get("H", 2.0), "problem.H", float),

@@ -51,7 +51,10 @@ class InversePower(Schedule):
 
     def alpha(self, t: float) -> float:
         t = _check_time(t)
-        return self.alpha0 / (self.a + t) ** self.m
+        try:
+            return self.alpha0 / (self.a + t) ** self.m
+        except OverflowError:  # (a + t)^m beyond float range: alpha is below it
+            return 0.0
 
     def log_derivative(self, t: float) -> float:
         t = _check_time(t)
@@ -114,6 +117,11 @@ class RateVerdict:
     strict: bool
 
 
+def _require_positive(value: float, name: str, why: str = "") -> None:
+    if not 0.0 < value < math.inf:
+        raise ScheduleError(f"{name} must be positive and finite{why}, got {value}")
+
+
 def validate_rate_function(s: Schedule) -> RateVerdict:
     """Check positivity/decay requirements; raise ScheduleError on violation.
 
@@ -121,28 +129,25 @@ def validate_rate_function(s: Schedule) -> RateVerdict:
     wrapped in a RateVerdict.
     """
     if isinstance(s, InversePower):
-        if s.alpha0 <= 0:
-            raise ScheduleError(f"alpha0 must be positive, got {s.alpha0}")
-        if s.a <= 0:
-            raise ScheduleError(f"offset a must be positive, got {s.a}")
-        if s.m <= 0:
-            raise ScheduleError(
-                f"exponent m must be positive for alpha to decrease, got {s.m}"
-            )
+        _require_positive(s.alpha0, "alpha0")
+        _require_positive(s.a, "offset a")
+        _require_positive(s.m, "exponent m", " for alpha to decrease")
         strict = True
     elif isinstance(s, (Exponential, Base2)):
-        if s.alpha0 <= 0:
-            raise ScheduleError(f"alpha0 must be positive, got {s.alpha0}")
-        if s.beta <= 0:
-            raise ScheduleError(
-                f"decay rate beta must be positive for alpha to decrease, got {s.beta}"
-            )
+        _require_positive(s.alpha0, "alpha0")
+        _require_positive(s.beta, "decay rate beta", " for alpha to decrease")
         strict = False
     else:
         raise ScheduleError(f"unknown schedule type {type(s).__name__}")
+    try:
+        alpha0 = s.alpha(0.0)
+    except ZeroDivisionError:  # a^m underflows to zero
+        alpha0 = math.inf
+    if not 0.0 < alpha0 < math.inf:
+        raise ScheduleError(f"alpha(0) must be positive and finite, got {alpha0}")
     return RateVerdict(
         schedule=s,
-        alpha0=s.alpha(0.0),
+        alpha0=alpha0,
         log_derivative0=s.log_derivative(0.0),
         strict=strict,
     )

@@ -9,6 +9,7 @@ and choosing a source element v explicitly fixes x0 = x_hat - A^2 v.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -45,7 +46,7 @@ class DiagonalLinearModel(OperatorModel):
     def grid(self) -> Grid:
         return self.solution.grid
 
-    @property
+    @cached_property
     def quadrature(self) -> QuadratureWeights:
         return simpson_weights(self.grid)
 

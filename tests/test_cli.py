@@ -1,16 +1,21 @@
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import gnflow
-from gnflow.cli import main
+from gnflow.cli import build_parser, main
 
 
 def run_cli(args):
@@ -93,17 +98,31 @@ class TestSolve:
             run_cli(["solve", "--schedule", "exp:alpha0=0.1,beta=1", "--frobnicate"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--epsilon", "nan"), ("--H", "inf"), ("--tau", "inf"), ("--stop", "floor:nan")],
+    )
+    def test_non_finite_input_usage_error(self, flag, value):
+        rc = run_cli(["solve", "--schedule", "exp:alpha0=0.1,beta=1", flag, value])
+        assert rc == 2
+
     def test_unwritable_output_runtime_error(self, tmp_path):
-        rc = run_cli(
-            [
-                "solve",
-                "--schedule", "exp:alpha0=0.1,beta=3.5",
-                "--grid-n", "21",
-                "--max-steps", "10",
-                "--out", str(tmp_path / "missing-dir" / "run.csv"),
-            ]
-        )
-        assert rc == 1
+        unwritable = [
+            ("--out", "missing-dir/run.csv"),
+            ("--out", "run\x00.csv"),
+            ("--trajectory", "traj\x00.csv"),
+        ]
+        for flag, name in unwritable:
+            rc = run_cli(
+                [
+                    "solve",
+                    "--schedule", "exp:alpha0=0.1,beta=3.5",
+                    "--grid-n", "21",
+                    "--max-steps", "10",
+                    flag, str(tmp_path / name),
+                ]
+            )
+            assert rc == 1, name
 
 
 class TestTable:
@@ -137,13 +156,19 @@ class TestTable:
             {**runnable, "max_steps": 0},
             [runnable],
             {**runnable, "schedules": "exp:alpha0=0.1,beta=1"},
+            {**runnable, "schedules": ["exp:alpha0=0.1,beta=-1"]},
+            {**runnable, "problem": {"grid_N": 801}},  # misspelt keys
+            {**runnable, "max_step": 5},
         ]
         cfg = tmp_path / "bad.json"
+        errors = []
         for config in bad_configs:
             cfg.write_text(json.dumps(config))
             assert run_cli(["table", "--config", str(cfg)]) == 2, config
-            err = capsys.readouterr().err
-            assert err.startswith("gnflow: bad config:") and "Traceback" not in err
+            errors.append(capsys.readouterr().err)
+            assert errors[-1].startswith("gnflow: bad config:"), config
+            assert "Traceback" not in errors[-1]
+        assert "'grid_N'" in errors[-2] and "'max_step'" in errors[-1]
 
 
 class TestCertify:
@@ -186,6 +211,15 @@ class TestCertify:
         )
         assert rc == 2
         assert "positive" in capsys.readouterr().err
+        rc = run_cli(
+            [
+                "certify",
+                "--n1", "nan", "--n2", "1", "--vnorm", "0.1",
+                "--alpha0", "1", "--logderiv0", "-0.1", "--R", "10",
+            ]
+        )
+        assert rc == 2
+        assert "finite" in capsys.readouterr().err
 
 
 class TestValidateSchedule:
@@ -202,6 +236,19 @@ class TestValidateSchedule:
         assert rc == 2
         err = capsys.readouterr().err
         assert "beta" in err and "positive" in err
+
+    @pytest.mark.parametrize(
+        "schedule",
+        [
+            "exp:alpha0=nan,beta=1",
+            "invpow:alpha0=inf,a=1,m=1",
+            "invpow:alpha0=1,a=1e-320,m=1e308",  # a^m underflows: alpha(0) = inf
+            "invpow:alpha0=1,a=2,m=1e308",  # a^m overflows: alpha(0) = 0
+        ],
+    )
+    def test_non_finite_alpha_usage_error(self, schedule, capsys):
+        assert run_cli(["validate-schedule", "--schedule", schedule]) == 2
+        assert "finite" in capsys.readouterr().err
 
 
 class TestBlasThreadDefault:
@@ -232,3 +279,173 @@ class TestBlasThreadDefault:
             check=True,
         )
         assert done.stdout.strip() == str(expected)
+
+
+SCHEDULES = [
+    "exp:alpha0=0.1,beta=3.5",
+    "base2:alpha0=0.1,beta=1",
+    "invpow:alpha0=10,a=100,m=1",
+    "exp:alpha0=nan,beta=1",
+    "invpow:alpha0=inf,a=1,m=1",
+    "exp:alpha0=1e-300,beta=1e300",
+    "exp:alpha0=0.1,beta=-1",
+    "invpow:alpha0=1,a=1e-320,m=1e308",
+    "invpow:alpha0=1,a=1,m=400",
+]
+TOKENS = [
+    "solve", "table", "certify", "validate-schedule", "-h",
+    "--schedule", "--tau", "--stepper", "--max-steps", "--stop", "--grid-n",
+    "--H", "--l", "--rho", "--epsilon", "--record-every", "--out",
+    "--trajectory", "--config", "--n1", "--n2", "--vnorm", "--alpha0",
+    "--logderiv0", "--R", "--w0",
+    "euler", "rk", "fixed:3", "floor:1e-3", "increase:2", "increase:0",
+    "nan", "inf", "-inf", "1e308", "config.json", "out.csv", ".", "nul\x00.csv",
+    *SCHEDULES,
+]
+SOLVE_FLAGS = [
+    "--tau", "--stepper", "--stop", "--H", "--l", "--rho", "--epsilon",
+    "--record-every", "--out", "--trajectory",
+]
+CERTIFY_FLAGS = ["--n1", "--n2", "--vnorm", "--alpha0", "--logderiv0", "--R", "--w0"]
+SMALL_CONFIG = {
+    "problem": {"grid_n": 21},
+    "schedules": ["exp:alpha0=0.1,beta=3.5"],
+    "tau_values": [0.1],
+    "max_steps": 3,
+}
+
+token = st.one_of(
+    st.sampled_from(TOKENS),
+    st.integers(-3, 25).map(str),
+    st.floats().map(repr),
+    st.text(max_size=12),
+)
+number = st.one_of(st.sampled_from(["1", "0.1", "-0.1", "10", "0"]), st.floats().map(repr))
+argv_strategy = st.one_of(
+    st.lists(token, max_size=12),
+    st.builds(
+        lambda command, tail: [command, *tail],
+        st.sampled_from(["solve", "table", "certify", "validate-schedule"]),
+        st.lists(token, max_size=12),
+    ),
+    st.builds(
+        lambda sched, n, steps, tail: [
+            "solve", "--schedule", sched, "--grid-n", str(n), "--max-steps", str(steps), *tail
+        ],
+        st.sampled_from(SCHEDULES) | st.text(max_size=12),
+        st.integers(-1, 21),
+        st.integers(-1, 5),
+        st.lists(st.tuples(st.sampled_from(SOLVE_FLAGS), token).map("=".join), max_size=3),
+    ),
+    st.builds(
+        lambda values: ["certify", *map("=".join, zip(CERTIFY_FLAGS, values))],
+        st.lists(number, min_size=len(CERTIFY_FLAGS), max_size=len(CERTIFY_FLAGS)),
+    ),
+    st.builds(
+        lambda sched: ["validate-schedule", "--schedule", sched],
+        st.sampled_from(SCHEDULES) | st.text(max_size=12),
+    ),
+)
+json_strategy = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12,
+)
+valid_config = st.fixed_dictionaries(
+    {
+        "problem": st.just("certified-diagonal")
+        | st.fixed_dictionaries(
+            {"grid_n": st.sampled_from([3, 11, 21])},
+            optional={key: st.floats(0.1, 3.0) for key in ("l", "H", "rho", "epsilon")},
+        ),
+        "schedules": st.lists(st.sampled_from(SCHEDULES), min_size=1, max_size=2),
+        "tau_values": st.lists(st.floats(0.05, 1.0), min_size=1, max_size=2),
+        "max_steps": st.integers(1, 5),
+    },
+    optional={
+        "steppers": st.lists(st.sampled_from(["euler", "rk"]), min_size=1, max_size=2),
+        "stop_rule": st.sampled_from(["increase:2", "fixed:3", "floor:0.1"]),
+        "record_every": st.integers(1, 3),
+        "output_path": st.sampled_from([None, "table.csv", ".", "nul\x00.csv"]),
+        "seed": st.integers(0, 9),
+    },
+)
+config_strategy = st.one_of(
+    json_strategy,
+    valid_config,
+    # one key, known or misspelt, set to an arbitrary value
+    st.builds(
+        lambda config, key, value: {**config, key: value},
+        valid_config,
+        st.sampled_from(["problem", "schedules", "tau_values", "steppers", "stop_rule",
+                         "max_steps", "record_every", "seed", "grid_n", "max_step"]),
+        json_strategy,
+    ),
+)
+
+
+def _run_main(argv):
+    """main's exit code and stderr, run in a fresh working directory that
+    holds a small valid `config.json`."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as cwd, contextlib.chdir(cwd):
+        Path("config.json").write_text(json.dumps(SMALL_CONFIG))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse: usage errors and --help
+                code = exc.code
+    return code, err.getvalue()
+
+
+def _at_most(value, limit) -> bool:
+    """False only for a number above `limit` (other values fail validation)."""
+    return not isinstance(value, (int, float)) or value <= limit
+
+
+def _small_and_contained(argv) -> bool:
+    """Whether argv asks for at most a small `solve` run, and names no file
+    outside the working directory."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit:
+            return True
+    paths = [getattr(args, name, None) for name in ("out", "trajectory", "config")]
+    if any(p is not None and os.sep in p for p in paths):
+        return False
+    return args.command != "solve" or (args.grid_n <= 21 and args.max_steps <= 5)
+
+
+def _small_sweep(config) -> bool:
+    """Whether a config that could start runs asks only for small ones."""
+    if not (isinstance(config, dict) and config.get("schedules") and config.get("tau_values")):
+        return True  # rejected before any run starts
+    problem = config.get("problem", {})
+    grid_n = problem.get("grid_n", 201) if isinstance(problem, dict) else 21
+    return _at_most(grid_n, 21) and _at_most(config.get("max_steps", 500), 5)
+
+
+class TestFuzz:
+    """Arbitrary argv and configs end in exit 0, 1 or 2, never a traceback
+    (an exception escaping `main`)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(argv_strategy)
+    def test_arbitrary_argv(self, argv):
+        assume(_small_and_contained(argv))
+        code, err = _run_main(argv)
+        assert code in (0, 1, 2), (argv, code, err)
+        assert "Traceback" not in err
+
+    @settings(max_examples=200, deadline=None)
+    @given(config_strategy)
+    def test_arbitrary_config(self, config):
+        assume(_small_sweep(config))
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "sweep.json"
+            path.write_text(json.dumps(config))
+            code, err = _run_main(["table", "--config", str(path)])
+        assert code in (0, 1, 2), (config, code, err)
+        assert "Traceback" not in err

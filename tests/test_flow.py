@@ -15,6 +15,7 @@ from gnflow import (
     GridFunction,
     InversePower,
     JacobianMatrix,
+    OperatorModel,
     SolverConfig,
     euler_step,
     initial_guess,
@@ -30,6 +31,37 @@ from gnflow.synthetic import DiagonalLinearModel
 from conftest import LinearMatrixModel, identity_model
 
 UNIT_SCHEDULE = Exponential(1.0, 1.0)  # alpha(0) = 1
+
+
+class CountingModel(OperatorModel):
+    """Delegates to `inner` and counts each operator call by name."""
+
+    def __init__(self, inner: OperatorModel):
+        self.inner = inner
+        self.calls = {"linearize": 0, "residual": 0, "jacobian": 0}
+
+    @property
+    def grid(self):
+        return self.inner.grid
+
+    @property
+    def quadrature(self):
+        return self.inner.quadrature
+
+    def residual(self, x):
+        self.calls["residual"] += 1
+        return self.inner.residual(x)
+
+    def jacobian(self, x):
+        self.calls["jacobian"] += 1
+        return self.inner.jacobian(x)
+
+    def linearize(self, x):
+        self.calls["linearize"] += 1
+        return self.inner.linearize(x)
+
+    def domain_violation(self, x):
+        return self.inner.domain_violation(x)
 
 
 def random_jacobian(rng, n=None, l=None) -> JacobianMatrix:
@@ -354,6 +386,19 @@ class TestRunFlow:
         report = run_flow(model, InversePower(1.0, 1.0, 1.0), x0, config, reference=sol)
         sigmas = [p.sigma for p in report.trajectory[: report.steps_taken + 1]]
         assert all(s2 <= s1 for s1, s2 in zip(sigmas, sigmas[1:]))
+
+    @pytest.mark.parametrize("stepper, per_step", [("euler", 1), ("rk", 2)])
+    def test_one_linearization_per_iterate(self, stepper, per_step):
+        # x0 and every accepted iterate are linearized once, and the midpoint
+        # stepper adds one at its half step; nothing else touches the operator
+        params = GravimetryParams(node_count=41)
+        model = CountingModel(GravimetryModel.synthetic(params))
+        config = SolverConfig(stepper=stepper, tau=0.1, max_steps=150)
+        report = run_flow(model, Exponential(0.1, 3.5), initial_guess(params), config)
+        assert not report.diverged
+        k = report.trajectory[-1].step
+        assert k > 10
+        assert model.calls == {"linearize": per_step * k + 1, "residual": 0, "jacobian": 0}
 
     def test_benchmark_run_matches_reference_table_row(self, benchmark_model):
         # exponential schedule, alpha0=0.1, beta=3.5, tau=0.1, Euler; reference

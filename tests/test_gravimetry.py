@@ -14,7 +14,6 @@ from gnflow import (
     frechet_matrix,
     initial_guess,
     kernel,
-    model_interface,
     sup_norm,
     synthesize_data,
     true_interface,
@@ -80,10 +79,13 @@ class TestForward:
         diff = np.max(np.abs(g_coarse.values - g_fine.values[::2]))
         assert diff <= 1e-6 * np.max(np.abs(g_fine.values))
 
-    def test_inadmissible_rejected(self):
-        p = GravimetryParams()
+    def test_inadmissible_rejected(self, benchmark_model):
+        p = benchmark_model.params
+        too_high = GridFunction.constant(p.grid, p.depth)
         with pytest.raises(DomainError):
-            forward(GridFunction.constant(p.grid, p.depth), p)
+            forward(too_high, p)
+        with pytest.raises(DomainError):
+            benchmark_model.linearize(too_high)
 
     def test_wrong_grid_rejected(self):
         p = GravimetryParams()
@@ -122,12 +124,6 @@ class TestFrechetMatrix:
 
 
 class TestSyntheticData:
-    def test_model_interface_values(self):
-        assert model_interface(0.0) == 1.0
-        assert model_interface(1.0) == 0.0
-        assert model_interface(-1.0) == 0.0
-        assert model_interface(0.5) == pytest.approx(0.5625)
-
     def test_residual_vanishes_at_true_interface(self, benchmark_model):
         res = benchmark_model.residual(true_interface(benchmark_model.params))
         assert sup_norm(res) <= 1e-12
@@ -158,6 +154,18 @@ class TestModelInterfaceContract:
         assert benchmark_model.domain_violation(ok) is None
         bad = GridFunction.constant(p.grid, p.depth - p.epsilon / 2)
         assert "ceiling" in benchmark_model.domain_violation(bad)
+
+    @pytest.mark.parametrize("node_count", [201, 801])
+    @pytest.mark.parametrize("point", [initial_guess, true_interface])
+    def test_linearize_matches_separate_calls(self, node_count, point):
+        # the fused pass keeps the order of operations of forward and
+        # frechet_matrix, so it must agree bit for bit
+        model = GravimetryModel.synthetic(GravimetryParams(node_count=node_count))
+        x = point(model.params)
+        res, jac = model.linearize(x)
+        assert np.array_equal(res.values, model.residual(x).values)
+        assert np.array_equal(jac.matrix, model.jacobian(x).matrix)
+        assert jac.quadrature == model.quadrature
 
     def test_adjoint_identity(self, benchmark_model):
         jac = benchmark_model.jacobian(initial_guess(benchmark_model.params))

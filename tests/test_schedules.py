@@ -45,6 +45,10 @@ class TestAlpha:
             a1, a2 = s.alpha(t1), s.alpha(t2)
             assert a1 > a2 > 0
 
+    def test_inverse_power_beyond_float_range_is_zero(self):
+        # (a + t)^m overflows at t = 1000; alpha is then below any float
+        assert InversePower(1.0, 1.0, 400.0).alpha(1000.0) == 0.0
+
     @pytest.mark.parametrize("s", FAMILY_SAMPLES)
     def test_negative_time_rejected(self, s):
         with pytest.raises(ValueError):
@@ -106,6 +110,10 @@ class TestValidation:
             Exponential(0.1, -1.0),
             Exponential(0.0, 1.0),
             Base2(0.1, 0.0),
+            Exponential(math.nan, 1.0),
+            Base2(0.1, math.inf),
+            InversePower(1.0, 1e-320, 1e308),  # alpha(0) = inf
+            InversePower(1.0, 2.0, 1e308),  # alpha(0) = 0
         ],
     )
     def test_nonpositive_parameters_rejected(self, bad):
