@@ -56,7 +56,6 @@ from .gravimetry import (
     forward,
     frechet_matrix,
     initial_guess,
-    kernel,
     synthesize_data,
     true_interface,
 )

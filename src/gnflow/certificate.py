@@ -58,6 +58,8 @@ class CertificateInputs:
             raise ValueError("certificate inputs must be finite")
         if self.n1 <= 0 or self.n2 <= 0:
             raise ValueError("derivative bounds n1, n2 must be positive")
+        if not 0 < self.n1 * self.n2 < math.inf:  # the constants divide by it
+            raise ValueError("n1 * n2 must be positive and finite in floating point")
         if self.v_norm < 0:
             raise ValueError("v_norm must be nonnegative")
         if self.alpha0 <= 0:

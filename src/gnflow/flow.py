@@ -24,125 +24,101 @@ from .errors import DomainError, GridMismatchError, NonFiniteValueError, Numeric
 from .grids import Grid, GridFunction, QuadratureWeights, l2_norm, sup_norm
 from .schedules import Schedule, validate_rate_function
 
-# Rank of the first sketch of a Jacobian.  The gravimetry Jacobians have
-# numerical rank 20-22 from 201 to 801 nodes, so one sketch resolves them.
-SKETCH_SIZE = 32
-# Extra Gaussian probes that estimate the discarded tail of the sketch.
-TAIL_PROBES = 6
-# A sketch resolves alpha when tail^2 <= TAIL_TOL * alpha: the discarded part
-# of B then moves a solve by at most about tail / sqrt(alpha) <= 1e-6 relative.
-TAIL_TOL = 1e-12
-# Seed of the Gaussian sketches, fixed so that every solve is deterministic.
-SKETCH_SEED = 0
+@dataclass(frozen=True)
+class LeftFactor:
+    """Left factor L (n x m, m < n) of a factored Jacobian J = L C, with the
+    triangular R of the thin QR S L = Q R, S = diag(sqrt(w)), that the normal
+    solve reads.  Fixed per grid, so it is built once and shared."""
+
+    matrix: np.ndarray
+    r: np.ndarray
+
+    @classmethod
+    def of(cls, matrix: np.ndarray, quadrature: QuadratureWeights) -> LeftFactor:
+        matrix = np.array(matrix, dtype=float)
+        matrix.flags.writeable = False
+        r = np.linalg.qr(np.sqrt(quadrature.weights)[:, None] * matrix, mode="r")
+        r.flags.writeable = False
+        return cls(matrix, r)
 
 
 @dataclass(frozen=True)
 class JacobianMatrix:
-    """Dense Jacobian with the quadrature weights defining its adjoint.
+    """Jacobian J = L C with the quadrature weights defining its adjoint.
 
-    Rows are indexed by the data-space grid, columns by the unknown-space
-    grid (one shared grid, so the matrix is square).  The adjoint is the
-    weighted one, J* = W^{-1} J^T W, which makes J* J selfadjoint and
-    nonnegative in the weighted inner product.
+    Columns are indexed by the unknown-space grid, rows of J by the
+    data-space grid (one shared grid, so J is square).  `matrix` is C, m x n;
+    `left` is L, n x m, or None for L = I, when `matrix` is J itself.  The
+    adjoint is the weighted one, J* = W^{-1} J^T W, which makes J* J
+    selfadjoint and nonnegative in the weighted inner product.
     """
 
     matrix: np.ndarray
     quadrature: QuadratureWeights
+    left: Optional[LeftFactor] = None
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
+        m = np.array(self.matrix, dtype=float)
         n = self.quadrature.grid.node_count
-        if m.shape != (n, n):
-            raise ValueError(f"Jacobian shape {m.shape} does not match grid size {n}")
+        rows = n if self.left is None else self.left.matrix.shape[1]
+        if m.shape != (rows, n) or (self.left is not None and self.left.matrix.shape[0] != n):
+            raise ValueError(f"Jacobian factor shape {m.shape} does not match grid size {n}")
         if not np.all(np.isfinite(m)):
             raise NonFiniteValueError("Jacobian contains non-finite entries")
-        m = m.copy()
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        return self.matrix @ v
+        u = self.matrix @ v
+        return u if self.left is None else self.left.matrix @ u
 
     def adjoint_apply(self, v: np.ndarray) -> np.ndarray:
         w = self.quadrature.weights
-        return (self.matrix.T @ (w * v)) / w
-
-    def symmetrized(self) -> np.ndarray:
-        """S J S^{-1} with S = diag(sqrt(w)); shares singular values with
-        the weighted operator and makes the normal matrix plainly symmetric."""
-        s = np.sqrt(self.quadrature.weights)
-        b = self.matrix * s[:, None]
-        b /= s[None, :]
-        return b
+        u = w * v if self.left is None else self.left.matrix.T @ (w * v)
+        return (self.matrix.T @ u) / w
 
     def normal_solve(self, alpha: float, rhs: np.ndarray) -> np.ndarray:
-        """Solve (J* J + alpha I) d = rhs through a truncated SVD of B = S J S^{-1}.
+        """Solve (J* J + alpha I) d = rhs through the SVD of B = S J S^{-1},
+        S = diag(sqrt(w)).
 
-        With z = S rhs and B ~ U diag(sigma) V^T on the sketched subspace,
+        B = Q M with M = R C S^{-1} (m x n), or M = S C S^{-1} when L = I, and
+        Q has orthonormal columns, so B and M share singular values and right
+        singular vectors.  With the thin SVD M = U diag(sigma) V^T, O(m^2 n),
+        and z = S rhs,
 
             d = S^{-1} [V (sigma^2 + alpha)^{-1} V^T z + (z - V V^T z) / alpha],
 
-        which treats B as zero off the subspace.  The sketch rank doubles, up
-        to the dense SVD, until the estimated discarded part of B is resolved
-        at this alpha.
+        exact, since B vanishes off the span of V.
         """
         if alpha <= 0:
             raise NumericalError(f"normal equations need alpha > 0, got {alpha}")
-        b = self.symmetrized()
-        spectrum = _Spectrum.of(b, SKETCH_SIZE)
-        while spectrum.tail**2 > TAIL_TOL * alpha:
-            spectrum = _Spectrum.of(b, 2 * spectrum.rank)
         s = np.sqrt(self.quadrature.weights)
+        if self.left is None:
+            middle = self.matrix * s[:, None]
+        else:
+            middle = self.left.r @ self.matrix
+        middle /= s[None, :]
+        try:
+            if middle.shape[0] < middle.shape[1]:
+                # M^T = Q2 R2 and R2^T = U diag(sigma) W^T give V = Q2 W, at
+                # about half the cost of numpy's SVD of the wide M
+                q, r = np.linalg.qr(middle.T)
+                _, sigma, wt = np.linalg.svd(r.T)
+                v = q @ wt.T
+            else:
+                _, sigma, vt = np.linalg.svd(middle)
+                v = vt.T
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"SVD of the Jacobian failed: {exc}") from exc
         z = s * rhs
-        coeffs = spectrum.v.T @ z
-        y = spectrum.v @ (coeffs / (spectrum.sigma**2 + alpha))
-        if spectrum.rank < len(z):  # for the dense SVD this is rounding noise over alpha
-            y += (z - spectrum.v @ coeffs) / alpha
+        coeffs = v.T @ z
+        y = v @ (coeffs / (sigma**2 + alpha))
+        if len(sigma) < len(z):  # for a square M this is rounding noise over alpha
+            y += (z - v @ coeffs) / alpha
         d = y / s
         if not np.all(np.isfinite(d)):
             raise NumericalError("normal-equation solve produced non-finite values")
         return d
-
-
-@dataclass(frozen=True)
-class _Spectrum:
-    """Singular values `sigma` and right singular vectors `v` (n x rank) of a
-    square matrix B on a subspace, and `tail`, an estimate of the norm of B
-    off that subspace (zero for the dense SVD)."""
-
-    sigma: np.ndarray
-    v: np.ndarray
-    tail: float
-
-    @property
-    def rank(self) -> int:
-        return len(self.sigma)
-
-    @classmethod
-    def of(cls, b: np.ndarray, k: int) -> _Spectrum:
-        """Randomized SVD of b on a k-dimensional sketch of its row space
-        (Halko, Martinsson & Tropp, SIAM Rev. 53, 2011, Alg. 4.1 and 5.1),
-        or the dense SVD once k reaches the size of b.
-
-        The tail is ||B (I - Q Q^T)||, bounded by 10 sqrt(2/pi) times the
-        largest projected probe, with probability 1 - 10^-TAIL_PROBES (their
-        eq. 4.3).
-        """
-        n = b.shape[0]
-        try:
-            if k >= n:
-                _, sigma, vt = np.linalg.svd(b)
-                return cls(sigma, vt.T, 0.0)
-            omega = np.random.default_rng(SKETCH_SEED).standard_normal((n, k + TAIL_PROBES))
-            y = b.T @ omega
-            q, _ = np.linalg.qr(y[:, :k])
-            probes = y[:, k:] - q @ (q.T @ y[:, k:])
-            largest_probe = float(np.max(np.linalg.norm(probes, axis=0)))
-            tail = 10.0 * math.sqrt(2.0 / math.pi) * largest_probe
-            _, sigma, wt = np.linalg.svd(b @ q, full_matrices=False)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"SVD of the Jacobian failed: {exc}") from exc
-        return cls(sigma, q @ wt.T, tail)
 
 
 class Linearization(NamedTuple):
@@ -175,7 +151,7 @@ class OperatorModel(ABC):
 
     @abstractmethod
     def jacobian(self, x: GridFunction) -> JacobianMatrix:
-        """phi'(x) as a dense matrix with the weighted adjoint attached."""
+        """phi'(x), dense or factored, with the weighted adjoint attached."""
 
     def linearize(self, x: GridFunction) -> Linearization:
         """`residual(x)` and `jacobian(x)` together."""

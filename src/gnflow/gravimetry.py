@@ -9,19 +9,73 @@ vertical gravity anomaly it produces at depth H with constant density rho:
 The kernel derivative in x is square integrable, so the linearized operator
 is compact and the problem is ill-posed: its discretization has rapidly
 decaying singular values and needs regularization to invert stably.
+
+Both kernels are analytic in the data coordinate t, with their nearest
+singularities at s +- i (H - x(s)).  `GravimetryModel.linearize` therefore
+evaluates them at m Chebyshev points only and interpolates onto the grid:
+the Jacobian is the factored J = P C, with P (n x m) fixed per grid, at
+O(mn) cost per linearization (Fong & Darve, J. Comput. Phys. 228, 2009;
+Trefethen, Approximation Theory and Approximation Practice, ch. 8).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import DomainError
-from .flow import JacobianMatrix, Linearization, OperatorModel
+from .flow import JacobianMatrix, LeftFactor, Linearization, OperatorModel
 from .grids import Grid, GridFunction, QuadratureWeights, simpson_weights
+
+# Largest error of the interpolated anomaly and Frechet entries, relative to
+# the largest exact value, accepted at the check rows.
+INTERP_TOL = 1e-13
+# Grid rows, as fractions of the grid, where the interpolation is checked
+# against the exact kernel.
+_CHECK_FRACTIONS = np.linspace(0.0, 1.0, 11)[1:-1]
+
+
+def _rungs(estimate: float) -> Iterator[int]:
+    """Chebyshev row counts m >= estimate, smallest first, from the fixed
+    ladder 32 * 2^(k/4) rounded to a multiple of 8: 32, 40, 48, 56, 64, 80,
+    88, 104, 128, ..., 184, 216, 256, 304, 360, ..."""
+    k = 0
+    while True:
+        m = 8 * round(4 * 2 ** (k / 4))
+        if m >= estimate:
+            yield m
+        k += 1
+
+
+class ChebyshevRows(NamedTuple):
+    """One rung: m Chebyshev points c_k and the left factor P that
+    interpolates from them onto the grid."""
+
+    points: np.ndarray
+    left: LeftFactor
+
+    def squared_distances(self, nodes: np.ndarray) -> np.ndarray:
+        """(c_k - s_j)^2, m x n."""
+        return (self.points[:, None] - nodes[None, :]) ** 2
+
+
+def _interpolation_matrix(nodes: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Barycentric interpolation from Chebyshev points of the second kind
+    `points` onto `nodes` (Berrut & Trefethen, SIAM Rev. 46, 2004)."""
+    lam = (-1.0) ** np.arange(len(points))
+    lam[[0, -1]] *= 0.5
+    diff = nodes[:, None] - points[None, :]
+    hit = diff == 0
+    diff[hit] = 1.0
+    p = lam / diff
+    p /= p.sum(axis=1, keepdims=True)
+    rows = hit.any(axis=1)
+    p[rows] = hit[rows]
+    return p
 
 
 @dataclass(frozen=True)
@@ -56,12 +110,40 @@ class GravimetryParams:
 
     @cached_property
     def squared_distances(self) -> np.ndarray:
-        """(t_i - s_j)^2 over the grid nodes, shared by every kernel
+        """(t_i - s_j)^2 over the grid nodes, shared by every dense kernel
         evaluation (read-only)."""
         nodes = self.grid.nodes
         d2 = (nodes[:, None] - nodes[None, :]) ** 2
         d2.flags.writeable = False
         return d2
+
+    @cached_property
+    def check_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Grid rows where `GravimetryModel.linearize` checks its
+        interpolation, and their squared distances to every node."""
+        rows = np.unique(np.round(_CHECK_FRACTIONS * (self.node_count - 1)).astype(int))
+        nodes = self.grid.nodes
+        d2 = (nodes[rows, None] - nodes[None, :]) ** 2
+        d2.flags.writeable = False
+        return rows, d2
+
+    @cached_property
+    def _rows_by_rung(self) -> dict[int, ChebyshevRows]:
+        return {}
+
+    def chebyshev_rows(self, m: int) -> ChebyshevRows:
+        """Factors of the interpolation from m Chebyshev points of the second
+        kind on [-l, l], built on first use and kept for the grid's lifetime
+        (one entry per ladder rung used)."""
+        cache = self._rows_by_rung
+        if m not in cache:
+            k = np.arange(m)
+            # sine form: exactly antisymmetric points, from l down to -l
+            points = self.half_width * np.sin(np.pi * (m - 1 - 2 * k) / (2 * (m - 1)))
+            nodes = self.grid.nodes
+            left = LeftFactor.of(_interpolation_matrix(nodes, points), self.quadrature)
+            cache[m] = ChebyshevRows(points, left)
+        return cache[m]
 
     def admissibility_violation(self, values: np.ndarray) -> Optional[str]:
         ceiling = self.depth - self.epsilon
@@ -74,53 +156,75 @@ class GravimetryParams:
         return None
 
 
-def kernel(t: float, s: float, xs: float, p: GravimetryParams) -> float:
-    """Log-ratio kernel ln[((t-s)^2 + H^2) / ((t-s)^2 + (H - xs)^2)].
-
-    Zero when xs = 0, symmetric in (t, s), and increasing in xs on [0, H).
-    """
-    reason = p.admissibility_violation(np.asarray([xs]))
-    if reason is not None:
-        raise DomainError(reason)
-    d2 = (t - s) ** 2
-    return float(np.log((d2 + p.depth**2) / (d2 + (p.depth - xs) ** 2)))
-
-
-def _denominator(x: GridFunction, p: GravimetryParams) -> np.ndarray:
-    """(t_i - s_j)^2 + (H - x_j)^2, the n x n denominator shared by the
-    kernel and its derivative, after checking that x is admissible.  The
-    result is a fresh array the caller may overwrite."""
+def _heights(x: GridFunction, p: GravimetryParams) -> np.ndarray:
+    """h_j = H - x_j, after checking that x is admissible on the model grid."""
     if x.grid != p.grid:
         raise DomainError("interface profile is not sampled on the model grid")
     reason = p.admissibility_violation(x.values)
     if reason is not None:
         raise DomainError(reason)
-    return p.squared_distances + (p.depth - x.values[None, :]) ** 2
+    return p.depth - x.values
 
 
-def _anomaly(den: np.ndarray, p: GravimetryParams) -> np.ndarray:
-    """Nodal anomaly values from the kernel denominator (left unchanged)."""
-    # In place where possible: each n x n temporary is a fresh allocation,
-    # and at a few hundred KB each they cost page faults on every call.
-    k = p.squared_distances + p.depth**2
+def _anomaly(d2: np.ndarray, den: np.ndarray, p: GravimetryParams) -> np.ndarray:
+    """Anomaly at the rows of the squared distances `d2`, from the kernel
+    denominator den = d2 + h^2 (left unchanged)."""
+    # In place where possible: each temporary is a fresh allocation, and at
+    # a few hundred KB each (n x n) they cost page faults on every call.
+    k = d2 + p.depth**2
     k /= den
     np.log(k, out=k)
     return (p.density / (4.0 * np.pi)) * (k @ p.quadrature.weights)
 
 
-def _frechet_entries(
-    den: np.ndarray, x: GridFunction, p: GravimetryParams
-) -> np.ndarray:
+def _frechet_entries(den: np.ndarray, h: np.ndarray, p: GravimetryParams) -> np.ndarray:
     """Frechet matrix entries, written over the kernel denominator `den`."""
-    np.divide(2.0 * (p.depth - x.values[None, :]), den, out=den)
+    np.divide(2.0 * h, den, out=den)
     den *= p.density / (4.0 * np.pi)
     den *= p.quadrature.weights[None, :]
     return den
 
 
+def _kernels(
+    d2: np.ndarray, h: np.ndarray, p: GravimetryParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Anomaly and Frechet entries at the rows of `d2`, sharing one
+    denominator."""
+    den = d2 + h**2
+    return _anomaly(d2, den, p), _frechet_entries(den, h, p)
+
+
+def _rank_estimate(h: np.ndarray, p: GravimetryParams) -> float:
+    """A-priori Chebyshev row count for INTERP_TOL, log(1/INTERP_TOL) /
+    log(rho_min): rho_j is the parameter of the Bernstein ellipse through the
+    nearest pole s_j + i h_j of column j, and interpolation at m points
+    converges like rho_min^-m."""
+    z = (p.grid.nodes + 1j * h) / p.half_width
+    rho = float(np.min(np.abs(z + np.sqrt(z - 1) * np.sqrt(z + 1))))
+    return math.log(1.0 / INTERP_TOL) / math.log(rho) if rho > 1.0 else math.inf
+
+
+def _interpolates(
+    rows: ChebyshevRows, g: np.ndarray, c: np.ndarray, h: np.ndarray, p: GravimetryParams
+) -> bool:
+    """Whether the anomaly `g` and Frechet factor `c` at the Chebyshev rows,
+    interpolated onto the check rows, are within INTERP_TOL of the exact
+    kernel there."""
+    check, d2 = p.check_rows
+    g_exact, j_exact = _kernels(d2, h, p)
+    left = rows.left.matrix[check]
+    return bool(
+        np.max(np.abs(left @ g - g_exact)) <= INTERP_TOL * np.max(np.abs(g_exact))
+        and np.max(np.abs(left @ c - j_exact)) <= INTERP_TOL * np.max(np.abs(j_exact))
+    )
+
+
 def forward(x: GridFunction, p: GravimetryParams) -> GridFunction:
-    """Gravity anomaly produced by the interface x, by Simpson quadrature."""
-    return GridFunction(p.grid, _anomaly(_denominator(x, p), p))
+    """Gravity anomaly produced by the interface x, by Simpson quadrature on
+    the dense n x n kernel."""
+    h = _heights(x, p)
+    d2 = p.squared_distances
+    return GridFunction(p.grid, _anomaly(d2, d2 + h**2, p))
 
 
 def frechet_matrix(x: GridFunction, p: GravimetryParams) -> JacobianMatrix:
@@ -128,15 +232,18 @@ def frechet_matrix(x: GridFunction, p: GravimetryParams) -> JacobianMatrix:
 
         J[i, j] = (rho / 4 pi) * w_j * 2 (H - x_j) / ((t_i - s_j)^2 + (H - x_j)^2).
 
-    Entries are finite and positive whenever x < H.
+    Entries are finite and positive whenever x < H.  Dense (n x n): the
+    exact matrix that `GravimetryModel.linearize` factors.
     """
-    return JacobianMatrix(_frechet_entries(_denominator(x, p), x, p), p.quadrature)
+    h = _heights(x, p)
+    return JacobianMatrix(_frechet_entries(p.squared_distances + h**2, h, p), p.quadrature)
 
 
 def synthesize_data(p: GravimetryParams) -> GridFunction:
     """Noise-free anomaly for the benchmark interface, generated with the
-    same grid and quadrature used for inversion (a deliberate inverse crime:
-    the residual at the true interface is then zero by construction)."""
+    same grid and quadrature used for inversion (a deliberate inverse crime).
+    It comes from the dense `forward`, so the model's interpolated residual
+    at the true interface is zero up to INTERP_TOL, not exactly."""
     x_true = true_interface(p)
     return forward(x_true, p)
 
@@ -177,22 +284,33 @@ class GravimetryModel(OperatorModel):
         return self.params.quadrature
 
     def residual(self, x: GridFunction) -> GridFunction:
-        g = forward(x, self.params)
-        return GridFunction(self.grid, g.values - self.data.values)
+        return self.linearize(x).residual
 
     def jacobian(self, x: GridFunction) -> JacobianMatrix:
-        return frechet_matrix(x, self.params)
+        return self.linearize(x).jacobian
 
     def linearize(self, x: GridFunction) -> Linearization:
-        """`residual` and `jacobian` from one pass over the kernel: the
-        denominator is formed once, read by the anomaly and then overwritten
-        by the Frechet entries.  Same operations in the same order, so the
-        result is bit-identical to the two separate calls."""
+        """phi(x) and the factored phi'(x) = P C from the kernel at m
+        Chebyshev rows: the anomaly g_c and C are evaluated there, and the
+        residual is P g_c - y.  m is the smallest ladder rung at or above the
+        a-priori estimate whose interpolation passes the check rows, going up
+        one rung on failure; once 2m > n the kernel is assembled densely and
+        the left factor is the identity."""
         p = self.params
-        den = _denominator(x, p)
-        res = GridFunction(self.grid, _anomaly(den, p) - self.data.values)
-        jac = JacobianMatrix(_frechet_entries(den, x, p), p.quadrature)
-        return Linearization(res, jac)
+        h = _heights(x, p)
+        for m in _rungs(_rank_estimate(h, p)):
+            if 2 * m > p.node_count:
+                break
+            rows = p.chebyshev_rows(m)
+            g, c = _kernels(rows.squared_distances(p.grid.nodes), h, p)
+            if _interpolates(rows, g, c, h, p):
+                res = rows.left.matrix @ g
+                res -= self.data.values
+                jac = JacobianMatrix(c, p.quadrature, rows.left)
+                return Linearization(GridFunction(self.grid, res), jac)
+        g, j = _kernels(p.squared_distances, h, p)
+        jac = JacobianMatrix(j, p.quadrature)
+        return Linearization(GridFunction(self.grid, g - self.data.values), jac)
 
     def domain_violation(self, x: GridFunction) -> Optional[str]:
         if x.grid != self.grid:

@@ -69,7 +69,6 @@ class ExperimentSpec:
     max_steps: int = 500
     record_every: int = 1
     output_path: Optional[str] = None
-    seed: int = 0
 
     def __post_init__(self):
         if not self.schedules:
@@ -272,7 +271,6 @@ def spec_to_config(spec: ExperimentSpec) -> dict:
         "max_steps": spec.max_steps,
         "record_every": spec.record_every,
         "output_path": spec.output_path,
-        "seed": spec.seed,
     }
 
 
@@ -297,7 +295,6 @@ _CONFIG_KEYS = (
     "max_steps",
     "record_every",
     "output_path",
-    "seed",
 )
 _PROBLEM_KEYS = ("l", "H", "rho", "epsilon", "grid_n")
 
@@ -350,7 +347,6 @@ def spec_from_config(config: dict) -> ExperimentSpec:
         max_steps=_checked(config.get("max_steps", 500), "max_steps", int),
         record_every=_checked(config.get("record_every", 1), "record_every", int),
         output_path=None if output_path is None else _checked(output_path, "output_path", str),
-        seed=_checked(config.get("seed", 0), "seed", int),
     )
     build_problem(spec.problem)
     return spec

@@ -113,8 +113,10 @@ def test_criterion_3_spectral_estimates():
     for _ in range(200):
         n = int(rng.choice([3, 5, 7, 9, 11, 13, 15, 17, 19]))
         grid = Grid(float(rng.uniform(0.5, 2.0)), n)
-        jac = JacobianMatrix(rng.uniform(-1, 1, size=(n, n)), simpson_weights(grid))
-        b = jac.symmetrized()
+        quad = simpson_weights(grid)
+        jac = JacobianMatrix(rng.uniform(-1, 1, size=(n, n)), quad)
+        s = np.sqrt(quad.weights)
+        b = (jac.matrix * s[:, None]) / s[None, :]  # dense B = S J S^-1
         m = b.T @ b
         eye = np.eye(n)
         for alpha in (1e-6, 1e-3, 1.0, 10.0):

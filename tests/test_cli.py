@@ -159,6 +159,7 @@ class TestTable:
             {**runnable, "schedules": ["exp:alpha0=0.1,beta=-1"]},
             {**runnable, "problem": {"grid_N": 801}},  # misspelt keys
             {**runnable, "max_step": 5},
+            {**runnable, "seed": 0},  # a field that no longer exists
         ]
         cfg = tmp_path / "bad.json"
         errors = []
@@ -168,7 +169,8 @@ class TestTable:
             errors.append(capsys.readouterr().err)
             assert errors[-1].startswith("gnflow: bad config:"), config
             assert "Traceback" not in errors[-1]
-        assert "'grid_N'" in errors[-2] and "'max_step'" in errors[-1]
+        assert "'grid_N'" in errors[-3] and "'max_step'" in errors[-2]
+        assert "'seed'" in errors[-1]
 
 
 class TestCertify:
@@ -220,6 +222,16 @@ class TestCertify:
         )
         assert rc == 2
         assert "finite" in capsys.readouterr().err
+        for bound in ("1e-200", "1e200"):  # n1 * n2 underflows or overflows
+            rc = run_cli(
+                [
+                    "certify",
+                    "--n1", bound, "--n2", bound, "--vnorm", "0.1",
+                    "--alpha0", "1", "--logderiv0", "-0.1", "--R", "10",
+                ]
+            )
+            assert rc == 2
+            assert "n1 * n2" in capsys.readouterr().err
 
 
 class TestValidateSchedule:
@@ -368,7 +380,6 @@ valid_config = st.fixed_dictionaries(
         "stop_rule": st.sampled_from(["increase:2", "fixed:3", "floor:0.1"]),
         "record_every": st.integers(1, 3),
         "output_path": st.sampled_from([None, "table.csv", ".", "nul\x00.csv"]),
-        "seed": st.integers(0, 9),
     },
 )
 config_strategy = st.one_of(

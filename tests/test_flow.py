@@ -18,6 +18,7 @@ from gnflow import (
     OperatorModel,
     SolverConfig,
     euler_step,
+    frechet_matrix,
     initial_guess,
     l2_norm,
     rk_midpoint_step,
@@ -71,6 +72,13 @@ def random_jacobian(rng, n=None, l=None) -> JacobianMatrix:
     return JacobianMatrix(rng.uniform(-1, 1, size=(n, n)), simpson_weights(grid))
 
 
+def symmetrized(jac: JacobianMatrix) -> np.ndarray:
+    """Dense oracle of B = S J S^{-1}, S = diag(sqrt(w)), for a dense J; B
+    shares singular values with the weighted operator."""
+    s = np.sqrt(jac.quadrature.weights)
+    return (jac.matrix * s[:, None]) / s[None, :]
+
+
 def weighted_operator_norm(mat: np.ndarray, weights: np.ndarray) -> float:
     s = np.sqrt(weights)
     return float(np.linalg.norm((mat * s[:, None]) / s[None, :], ord=2))
@@ -89,8 +97,7 @@ class TestJacobianMatrix:
             assert lhs == pytest.approx(rhs, rel=1e-10)
 
     def test_normal_solve_residual(self):
-        # n = 65 is full rank and wider than the first sketch, so the solve
-        # must grow the sketch to the dense SVD
+        # n = 65 is full rank, so no direction of the solve may be dropped
         rng = np.random.default_rng(22)
         for n in (15, 65):
             for alpha in (1e-3, 0.1, 1.0, 10.0):
@@ -102,21 +109,26 @@ class TestJacobianMatrix:
 
     @pytest.mark.parametrize("point", [initial_guess, true_interface])
     def test_normal_solve_matches_dense_svd_oracle(self, point):
-        # down to the default alpha_floor, on the benchmark Jacobian
-        params = GravimetryParams()
-        matrix = GravimetryModel.synthetic(params).jacobian(point(params)).matrix
-        quad = params.quadrature
-        s = np.sqrt(quad.weights)
-        _, sigma, vt = np.linalg.svd(JacobianMatrix(matrix, quad).symmetrized())
-        jac = JacobianMatrix(matrix, quad)
+        # down to the default alpha_floor, on the Jacobian of `linearize`
+        # (factored, or dense at n=201, H=1.1) against the SVD of the dense
+        # Frechet matrix, over the depths that set the interpolation rank
         rng = np.random.default_rng(25)
-        for alpha in (1e-1, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-13):
-            rhs = rng.standard_normal(len(s))
-            expected = (vt.T @ ((vt @ (s * rhs)) / (sigma**2 + alpha))) / s
-            d = jac.normal_solve(alpha, rhs)
-            assert np.linalg.norm(d - expected) <= 1e-10 * np.linalg.norm(expected), alpha
-            fresh = JacobianMatrix(matrix, quad).normal_solve(alpha, rhs)
-            assert np.array_equal(d, fresh)
+        for node_count in (201, 801):
+            for depth in (2.0, 1.5, 1.1):
+                params = GravimetryParams(node_count=node_count, depth=depth)
+                model = GravimetryModel.synthetic(params)
+                x = point(params)
+                jac = model.linearize(x).jacobian
+                s = np.sqrt(params.quadrature.weights)
+                _, sigma, vt = np.linalg.svd(symmetrized(frechet_matrix(x, params)))
+                for alpha in (1e-1, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-13):
+                    case = (node_count, depth, alpha)
+                    rhs = rng.standard_normal(len(s))
+                    expected = (vt.T @ ((vt @ (s * rhs)) / (sigma**2 + alpha))) / s
+                    d = jac.normal_solve(alpha, rhs)
+                    assert np.linalg.norm(d - expected) <= 1e-10 * np.linalg.norm(expected), case
+                    fresh = model.linearize(x).jacobian.normal_solve(alpha, rhs)
+                    assert np.array_equal(d, fresh), case
 
     def test_non_finite_rejected(self):
         grid = Grid(1.0, 3)
@@ -129,7 +141,7 @@ class TestJacobianMatrix:
         rng = np.random.default_rng(23)
         for _ in range(25):
             jac = random_jacobian(rng)
-            b = jac.symmetrized()
+            b = symmetrized(jac)
             m = b.T @ b
             for alpha in (1e-6, 1e-3, 1.0, 10.0):
                 t = np.linalg.solve(m + alpha * np.eye(len(m)), m)
@@ -140,7 +152,7 @@ class TestJacobianMatrix:
         rng = np.random.default_rng(24)
         for _ in range(25):
             jac = random_jacobian(rng)
-            b = jac.symmetrized()
+            b = symmetrized(jac)
             m = b.T @ b
             for alpha in (1e-6, 1e-3, 1.0, 10.0):
                 inv = np.linalg.inv(m + alpha * np.eye(len(m)))

@@ -13,16 +13,29 @@ from gnflow import (
     forward,
     frechet_matrix,
     initial_guess,
-    kernel,
     sup_norm,
     synthesize_data,
     true_interface,
 )
+from gnflow.gravimetry import INTERP_TOL
 
 # frozen oracle: trapezoid quadrature with 400001 nodes of
 # (1/4pi) * int ln[(s^2+4)/(s^2+(2-(1-s^2)^2)^2)] ds on [-1,1]
 # (stable to 13 digits under 100x refinement)
 ANOMALY_AT_CENTER = 0.10341241814946966
+
+
+def kernel(t: float, s: float, xs: float, p: GravimetryParams) -> float:
+    """Scalar oracle of the log-ratio kernel
+    ln[((t-s)^2 + H^2) / ((t-s)^2 + (H - xs)^2)].
+
+    Zero when xs = 0, symmetric in (t, s), and increasing in xs on [0, H).
+    """
+    reason = p.admissibility_violation(np.asarray([xs]))
+    if reason is not None:
+        raise DomainError(reason)
+    d2 = (t - s) ** 2
+    return float(np.log((d2 + p.depth**2) / (d2 + (p.depth - xs) ** 2)))
 
 
 class TestKernel:
@@ -158,14 +171,44 @@ class TestModelInterfaceContract:
     @pytest.mark.parametrize("node_count", [201, 801])
     @pytest.mark.parametrize("point", [initial_guess, true_interface])
     def test_linearize_matches_separate_calls(self, node_count, point):
-        # the fused pass keeps the order of operations of forward and
-        # frechet_matrix, so it must agree bit for bit
+        # residual and jacobian delegate to linearize, so they agree with it
+        # bit for bit (also once the interpolation factors are cached); all
+        # three match the dense oracle to the interpolation tolerance, with
+        # a factor 100 for the Lebesgue constant and rounding
         model = GravimetryModel.synthetic(GravimetryParams(node_count=node_count))
-        x = point(model.params)
+        p = model.params
+        x = point(p)
+        eye = np.eye(node_count)
         res, jac = model.linearize(x)
         assert np.array_equal(res.values, model.residual(x).values)
-        assert np.array_equal(jac.matrix, model.jacobian(x).matrix)
+        assert np.array_equal(jac.apply(eye), model.jacobian(x).apply(eye))
         assert jac.quadrature == model.quadrature
+        bound = 100 * INTERP_TOL
+        expected = forward(x, p).values - model.data.values
+        assert np.max(np.abs(res.values - expected)) <= bound * np.max(np.abs(model.data.values))
+        dense = frechet_matrix(x, p).matrix
+        assert np.max(np.abs(jac.apply(eye) - dense)) <= bound * np.max(np.abs(dense))
+
+    @pytest.mark.parametrize(
+        ("node_count", "depth", "max_rows"), [(801, 2.0, 64), (201, 1.1, None), (3201, 2.0, 64)]
+    )
+    def test_linearization_rank(self, node_count, depth, max_rows):
+        # max_rows None: the Chebyshev rows would be more than half the grid,
+        # so the kernel is assembled densely (identity left factor)
+        p = GravimetryParams(node_count=node_count, depth=depth)
+        # zero data: the rank does not depend on it, and the dense forward
+        # map would form n x n arrays at n = 3201
+        model = GravimetryModel(p, GridFunction.constant(p.grid, 0.0))
+        for point in (initial_guess, true_interface):
+            jac = model.linearize(point(p)).jacobian
+            if max_rows is None:
+                assert jac.left is None
+                assert jac.matrix.shape == (node_count, node_count)
+            else:
+                assert jac.left.matrix.shape[0] == node_count
+                assert jac.matrix.shape[0] <= max_rows
+                assert jac.matrix.shape == (jac.left.matrix.shape[1], node_count)
+                assert "squared_distances" not in vars(p)  # no n x n kernel either
 
     def test_adjoint_identity(self, benchmark_model):
         jac = benchmark_model.jacobian(initial_guess(benchmark_model.params))

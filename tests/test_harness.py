@@ -126,7 +126,6 @@ class TestRunTable:
                 tau_values=[0.1],
                 max_steps=120,
                 output_path=str(out),
-                seed=7,
             )
             run_table(spec)
             paths.append(out.read_bytes())
@@ -187,7 +186,6 @@ class TestConfigRoundTrip:
             max_steps=77,
             record_every=2,
             output_path="out.csv",
-            seed=3,
         )
         path = tmp_path / "config.json"
         save_spec(spec, path)
