@@ -228,20 +228,19 @@ def comparison_check(
     Requires the run to have been recorded against a known reference
     solution (so the w samples exist).
     """
-    samples = [(p.step, p.t, p.w) for p in report.trajectory if p.w is not None]
+    samples = [p for p in report.trajectory if p.w is not None]
     if not samples:
         raise ValueError("report carries no scaled-error samples (no reference run)")
-    min_margin = math.inf
+    bounds = bound_curve(cert, u0, np.array([p.t for p in samples]))
+    w = np.array([p.w for p in samples])
+    violations = np.flatnonzero(w > bounds + tolerance)
     first_violation = None
-    for step, t, w in samples:
-        bound = bound_curve(cert, u0, t)
-        margin = bound - w
-        min_margin = min(min_margin, margin)
-        if w > bound + tolerance and first_violation is None:
-            first_violation = (step, t, w, bound)
+    if violations.size:
+        i = violations[0]
+        first_violation = (samples[i].step, samples[i].t, samples[i].w, float(bounds[i]))
     return ComparisonVerdict(
         passed=first_violation is None,
         checked=len(samples),
-        min_margin=min_margin,
+        min_margin=float(np.min(bounds - w)),
         first_violation=first_violation,
     )

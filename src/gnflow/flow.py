@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Literal, NamedTuple, Optional, Union
 
 import numpy as np
@@ -42,6 +43,15 @@ class LeftFactor:
         return cls(matrix, r)
 
 
+class _Decomposition(NamedTuple):
+    """sqrt(w), and the singular values sigma and right singular vectors V
+    (n x r) of the middle factor of a Jacobian."""
+
+    sqrt_weights: np.ndarray
+    sigma: np.ndarray
+    v: np.ndarray
+
+
 @dataclass(frozen=True)
 class JacobianMatrix:
     """Jacobian J = L C with the quadrature weights defining its adjoint.
@@ -63,7 +73,7 @@ class JacobianMatrix:
         rows = n if self.left is None else self.left.matrix.shape[1]
         if m.shape != (rows, n) or (self.left is not None and self.left.matrix.shape[0] != n):
             raise ValueError(f"Jacobian factor shape {m.shape} does not match grid size {n}")
-        if not np.all(np.isfinite(m)):
+        if not np.isfinite(m).all():
             raise NonFiniteValueError("Jacobian contains non-finite entries")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
@@ -77,21 +87,16 @@ class JacobianMatrix:
         u = w * v if self.left is None else self.left.matrix.T @ (w * v)
         return (self.matrix.T @ u) / w
 
-    def normal_solve(self, alpha: float, rhs: np.ndarray) -> np.ndarray:
-        """Solve (J* J + alpha I) d = rhs through the SVD of B = S J S^{-1},
-        S = diag(sqrt(w)).
+    @cached_property
+    def decomposition(self) -> _Decomposition:
+        """Thin SVD of the middle factor M = R C S^{-1} (or S C S^{-1} when
+        L = I), S = diag(sqrt(w)), computed on first use and shared by every
+        `normal_solve` on this Jacobian, whatever its alpha.
 
-        B = Q M with M = R C S^{-1} (m x n), or M = S C S^{-1} when L = I, and
-        Q has orthonormal columns, so B and M share singular values and right
-        singular vectors.  With the thin SVD M = U diag(sigma) V^T, O(m^2 n),
-        and z = S rhs,
-
-            d = S^{-1} [V (sigma^2 + alpha)^{-1} V^T z + (z - V V^T z) / alpha],
-
-        exact, since B vanishes off the span of V.
+        B = S J S^{-1} = Q M with Q orthonormal columns, so B and M share
+        singular values and right singular vectors; the SVD of the m x n
+        factor M costs O(m^2 n).
         """
-        if alpha <= 0:
-            raise NumericalError(f"normal equations need alpha > 0, got {alpha}")
         s = np.sqrt(self.quadrature.weights)
         if self.left is None:
             middle = self.matrix * s[:, None]
@@ -110,13 +115,26 @@ class JacobianMatrix:
                 v = vt.T
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"SVD of the Jacobian failed: {exc}") from exc
+        return _Decomposition(s, sigma, v)
+
+    def normal_solve(self, alpha: float, rhs: np.ndarray) -> np.ndarray:
+        """Solve (J* J + alpha I) d = rhs in O(mn) from the cached `decomposition`
+        M = U diag(sigma) V^T: with z = S rhs,
+
+            d = S^{-1} [V (sigma^2 + alpha)^{-1} V^T z + (z - V V^T z) / alpha],
+
+        exact, since B = S J S^{-1} vanishes off the span of V.
+        """
+        if alpha <= 0:
+            raise NumericalError(f"normal equations need alpha > 0, got {alpha}")
+        s, sigma, v = self.decomposition
         z = s * rhs
         coeffs = v.T @ z
         y = v @ (coeffs / (sigma**2 + alpha))
         if len(sigma) < len(z):  # for a square M this is rounding noise over alpha
             y += (z - v @ coeffs) / alpha
         d = y / s
-        if not np.all(np.isfinite(d)):
+        if not np.isfinite(d).all():
             raise NumericalError("normal-equation solve produced non-finite values")
         return d
 
@@ -352,17 +370,15 @@ def run_flow(
         if not force and k % config.record_every != 0:
             return
         t_k = k * config.tau
+        alpha_k = schedule.alpha(t_k)
         w = err_sup = None
         if reference is not None:
             diff = GridFunction(model.grid, x.values - reference.values)
-            alpha_k = schedule.alpha(t_k)
             err = l2_norm(diff, quad)
             # alpha can underflow to zero on long degraded runs
             w = err / alpha_k if alpha_k > 0 else (0.0 if err == 0 else math.inf)
             err_sup = sup_norm(diff)
-        trajectory.append(
-            TrajectoryPoint(k, t_k, schedule.alpha(t_k), sigma, w, err_sup)
-        )
+        trajectory.append(TrajectoryPoint(k, t_k, alpha_k, sigma, w, err_sup))
 
     x = x0
     lin = model.linearize(x)

@@ -51,16 +51,21 @@ def _rungs(estimate: float) -> Iterator[int]:
         k += 1
 
 
+def _squared_distances(points: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """(points_i - nodes_j)^2, read-only."""
+    d2 = (points[:, None] - nodes[None, :]) ** 2
+    d2.flags.writeable = False
+    return d2
+
+
 class ChebyshevRows(NamedTuple):
-    """One rung: m Chebyshev points c_k and the left factor P that
-    interpolates from them onto the grid."""
+    """One rung: m Chebyshev points c_k, the left factor P that interpolates
+    from them onto the grid, and the squared distances (c_k - s_j)^2 (m x n)
+    to the grid nodes."""
 
     points: np.ndarray
     left: LeftFactor
-
-    def squared_distances(self, nodes: np.ndarray) -> np.ndarray:
-        """(c_k - s_j)^2, m x n."""
-        return (self.points[:, None] - nodes[None, :]) ** 2
+    squared_distances: np.ndarray
 
 
 def _interpolation_matrix(nodes: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -110,22 +115,16 @@ class GravimetryParams:
 
     @cached_property
     def squared_distances(self) -> np.ndarray:
-        """(t_i - s_j)^2 over the grid nodes, shared by every dense kernel
-        evaluation (read-only)."""
-        nodes = self.grid.nodes
-        d2 = (nodes[:, None] - nodes[None, :]) ** 2
-        d2.flags.writeable = False
-        return d2
+        """(t_i - s_j)^2 over the grid nodes, n x n, kept for the dense
+        fallback of `GravimetryModel.linearize`; only that path fills it."""
+        return _squared_distances(self.grid.nodes, self.grid.nodes)
 
     @cached_property
     def check_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """Grid rows where `GravimetryModel.linearize` checks its
         interpolation, and their squared distances to every node."""
         rows = np.unique(np.round(_CHECK_FRACTIONS * (self.node_count - 1)).astype(int))
-        nodes = self.grid.nodes
-        d2 = (nodes[rows, None] - nodes[None, :]) ** 2
-        d2.flags.writeable = False
-        return rows, d2
+        return rows, _squared_distances(self.grid.nodes[rows], self.grid.nodes)
 
     @cached_property
     def _rows_by_rung(self) -> dict[int, ChebyshevRows]:
@@ -142,7 +141,7 @@ class GravimetryParams:
             points = self.half_width * np.sin(np.pi * (m - 1 - 2 * k) / (2 * (m - 1)))
             nodes = self.grid.nodes
             left = LeftFactor.of(_interpolation_matrix(nodes, points), self.quadrature)
-            cache[m] = ChebyshevRows(points, left)
+            cache[m] = ChebyshevRows(points, left, _squared_distances(points, nodes))
         return cache[m]
 
     def admissibility_violation(self, values: np.ndarray) -> Optional[str]:
@@ -221,9 +220,9 @@ def _interpolates(
 
 def forward(x: GridFunction, p: GravimetryParams) -> GridFunction:
     """Gravity anomaly produced by the interface x, by Simpson quadrature on
-    the dense n x n kernel."""
+    the dense n x n kernel (assembled here and dropped on return)."""
     h = _heights(x, p)
-    d2 = p.squared_distances
+    d2 = _squared_distances(p.grid.nodes, p.grid.nodes)
     return GridFunction(p.grid, _anomaly(d2, d2 + h**2, p))
 
 
@@ -236,7 +235,8 @@ def frechet_matrix(x: GridFunction, p: GravimetryParams) -> JacobianMatrix:
     exact matrix that `GravimetryModel.linearize` factors.
     """
     h = _heights(x, p)
-    return JacobianMatrix(_frechet_entries(p.squared_distances + h**2, h, p), p.quadrature)
+    d2 = _squared_distances(p.grid.nodes, p.grid.nodes)
+    return JacobianMatrix(_frechet_entries(d2 + h**2, h, p), p.quadrature)
 
 
 def synthesize_data(p: GravimetryParams) -> GridFunction:
@@ -302,7 +302,7 @@ class GravimetryModel(OperatorModel):
             if 2 * m > p.node_count:
                 break
             rows = p.chebyshev_rows(m)
-            g, c = _kernels(rows.squared_distances(p.grid.nodes), h, p)
+            g, c = _kernels(rows.squared_distances, h, p)
             if _interpolates(rows, g, c, h, p):
                 res = rows.left.matrix @ g
                 res -= self.data.values

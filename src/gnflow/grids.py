@@ -67,7 +67,7 @@ class GridFunction:
                 f"values shape {vals.shape} does not match grid with "
                 f"{self.grid.node_count} nodes"
             )
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise NonFiniteValueError("grid function contains NaN or infinite values")
         vals = vals.copy()
         vals.flags.writeable = False

@@ -13,6 +13,8 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, Union
 
+import numpy as np
+
 from .certificate import Certificate, bound_curve
 from .flow import (
     DiscrepancyFloor,
@@ -231,23 +233,20 @@ def trajectory_export(
     if with_bound and u0 is None:
         raise ValueError("exporting the bound column requires u0")
     header = ["step", "t", "alpha", "sigma", "w", "error_sup"]
+    rows = [
+        [str(p.step), _cell(p.t), _cell(p.alpha), _cell(p.sigma), _cell(p.w), _cell(p.error_sup)]
+        for p in report.trajectory
+    ]
     if with_bound:
         header.append("bound")
+        if rows:
+            ts = np.array([p.t for p in report.trajectory])
+            for row, bound in zip(rows, bound_curve(certificate, u0, ts).tolist()):
+                row.append(_cell(bound))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for p in report.trajectory:
-            row = [
-                str(p.step),
-                _cell(p.t),
-                _cell(p.alpha),
-                _cell(p.sigma),
-                _cell(p.w),
-                _cell(p.error_sup),
-            ]
-            if with_bound:
-                row.append(_cell(bound_curve(certificate, u0, p.t)))
-            writer.writerow(row)
+        writer.writerows(rows)
 
 
 def spec_to_config(spec: ExperimentSpec) -> dict:

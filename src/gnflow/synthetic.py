@@ -53,8 +53,14 @@ class DiagonalLinearModel(OperatorModel):
     def residual(self, x: GridFunction) -> GridFunction:
         return GridFunction(self.grid, self.spectrum * (x.values - self.solution.values))
 
-    def jacobian(self, x: GridFunction) -> JacobianMatrix:
+    @cached_property
+    def _jacobian(self) -> JacobianMatrix:
         return JacobianMatrix(np.diag(self.spectrum), self.quadrature)
+
+    def jacobian(self, x: GridFunction) -> JacobianMatrix:
+        """The constant derivative of the linear map: one object per model,
+        so its normal-solve decomposition is computed once."""
+        return self._jacobian
 
 
 @dataclass(frozen=True)

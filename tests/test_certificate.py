@@ -16,7 +16,7 @@ from gnflow import (
     default_u0,
     run_flow,
 )
-from gnflow.certificate import Certificate
+from gnflow.certificate import Certificate, ComparisonVerdict
 from gnflow.flow import RunReport, TrajectoryPoint
 from gnflow.synthetic import certified_diagonal_instance
 
@@ -230,6 +230,19 @@ def synthetic_report(samples) -> RunReport:
     )
 
 
+def scalar_comparison_check(cert, report, u0, tolerance=1e-12) -> ComparisonVerdict:
+    """Reference comparison check, one scalar majorant value per sample."""
+    samples = [(p.step, p.t, p.w) for p in report.trajectory if p.w is not None]
+    min_margin = math.inf
+    first_violation = None
+    for step, t, w in samples:
+        bound = bound_curve(cert, u0, t)
+        min_margin = min(min_margin, bound - w)
+        if w > bound + tolerance and first_violation is None:
+            first_violation = (step, t, w, bound)
+    return ComparisonVerdict(first_violation is None, len(samples), min_margin, first_violation)
+
+
 class TestComparisonCheck:
     def test_zero_trajectory_passes(self):
         report = synthetic_report([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
@@ -244,6 +257,29 @@ class TestComparisonCheck:
         verdict = comparison_check(WORKED_CERT, report, u0=0.7)
         assert not verdict.passed
         assert verdict.first_violation[0] == 1
+
+    def test_matches_scalar_reference_on_certified_run(self):
+        inst = certified_diagonal_instance()
+        cert = inst.certificate
+        u0 = default_u0(cert, inst.w0)
+        config = SolverConfig(stepper="rk", tau=0.1, max_steps=300, stop_rule=FixedSteps(300))
+        report = run_flow(inst.model, inst.schedule, inst.x0, config, reference=inst.solution)
+        verdict = comparison_check(cert, report, u0)
+        assert verdict.passed and verdict.checked == 301
+        assert verdict == scalar_comparison_check(cert, report, u0)
+
+        # doctor the run to leave the majorant at samples 137 and 200
+        trajectory = list(report.trajectory)
+        for k in (137, 200):
+            p = trajectory[k]
+            bound = bound_curve(cert, u0, p.t)
+            trajectory[k] = dataclasses.replace(p, w=bound + 1e-9)
+        doctored = dataclasses.replace(report, trajectory=trajectory)
+        verdict = comparison_check(cert, doctored, u0)
+        assert verdict == scalar_comparison_check(cert, doctored, u0)
+        p = trajectory[137]
+        assert verdict.first_violation == (137, p.t, p.w, bound_curve(cert, u0, p.t))
+        assert not verdict.passed and verdict.min_margin < 0
 
     def test_report_without_reference_rejected(self):
         report = synthetic_report([(0.0, 0.0)])

@@ -27,7 +27,7 @@ from gnflow import (
     true_interface,
     velocity,
 )
-from gnflow.synthetic import DiagonalLinearModel
+from gnflow.synthetic import DiagonalLinearModel, certified_diagonal_instance
 
 from conftest import LinearMatrixModel, identity_model
 
@@ -129,6 +129,36 @@ class TestJacobianMatrix:
                     assert np.linalg.norm(d - expected) <= 1e-10 * np.linalg.norm(expected), case
                     fresh = model.linearize(x).jacobian.normal_solve(alpha, rhs)
                     assert np.array_equal(d, fresh), case
+
+    @pytest.mark.parametrize("case", ["factored", "dense", "diagonal"])
+    def test_repeated_solves_match_fresh_jacobians(self, case):
+        # one Jacobian object decomposes once and serves every alpha; each
+        # of its solves equals the solve on a freshly built Jacobian
+        if case == "diagonal":
+            model = certified_diagonal_instance().model
+            x = model.solution
+
+            def fresh():
+                return JacobianMatrix(np.diag(model.spectrum), model.quadrature)
+
+        else:
+            node_count, depth = (801, 2.0) if case == "factored" else (201, 1.1)
+            params = GravimetryParams(node_count=node_count, depth=depth)
+            model = GravimetryModel.synthetic(params)
+            x = initial_guess(params)
+
+            def fresh():
+                return model.linearize(x).jacobian
+
+        jac = model.linearize(x).jacobian
+        assert (jac.left is not None) == (case == "factored")
+        rng = np.random.default_rng(71)
+        for alpha in (1e-1, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-13):
+            rhs = rng.standard_normal(model.grid.node_count)
+            other = fresh()
+            assert other is not jac
+            assert np.array_equal(jac.normal_solve(alpha, rhs), other.normal_solve(alpha, rhs))
+        assert jac.decomposition is jac.decomposition
 
     def test_non_finite_rejected(self):
         grid = Grid(1.0, 3)
@@ -411,6 +441,25 @@ class TestRunFlow:
         k = report.trajectory[-1].step
         assert k > 10
         assert model.calls == {"linearize": per_step * k + 1, "residual": 0, "jacobian": 0}
+
+    def test_certified_midpoint_run_factors_once(self, monkeypatch):
+        # the diagonal model's Jacobian is one object per model, so its
+        # normal-solve decomposition is computed once for all 2k solves
+        svd = np.linalg.svd
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr("gnflow.flow.np.linalg.svd", counted)
+        inst = certified_diagonal_instance()
+        k = 40
+        config = SolverConfig(stepper="rk", tau=0.1, max_steps=k, stop_rule=FixedSteps(k))
+        report = run_flow(inst.model, inst.schedule, inst.x0, config, reference=inst.solution)
+        assert not report.diverged and report.steps_taken == k
+        assert calls == [(21, 21)]
+        assert inst.model.jacobian(inst.x0) is inst.model.jacobian(report.final_x)
 
     def test_benchmark_run_matches_reference_table_row(self, benchmark_model):
         # exponential schedule, alpha0=0.1, beta=3.5, tau=0.1, Euler; reference

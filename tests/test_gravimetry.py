@@ -210,6 +210,29 @@ class TestModelInterfaceContract:
                 assert jac.matrix.shape == (jac.left.matrix.shape[1], node_count)
                 assert "squared_distances" not in vars(p)  # no n x n kernel either
 
+    def test_factored_run_keeps_no_dense_distances(self):
+        # the dense forward map (data synthesis) and Frechet matrix build
+        # their n x n squared distances locally; only the dense fallback of
+        # `linearize` caches them on the params
+        p = GravimetryParams(node_count=801)
+        model = GravimetryModel.synthetic(p)
+        frechet_matrix(initial_guess(p), p)
+        assert model.linearize(initial_guess(p)).jacobian.left is not None
+        assert "squared_distances" not in vars(p)
+        shallow = GravimetryParams(node_count=201, depth=1.1)
+        model = GravimetryModel.synthetic(shallow)
+        assert "squared_distances" not in vars(shallow)
+        assert model.linearize(initial_guess(shallow)).jacobian.left is None
+        assert "squared_distances" in vars(shallow)
+
+    def test_chebyshev_rows_carry_their_squared_distances(self):
+        p = GravimetryParams(node_count=801)
+        rows = p.chebyshev_rows(40)
+        assert p.chebyshev_rows(40) is rows
+        d2 = rows.squared_distances
+        assert not d2.flags.writeable
+        assert np.array_equal(d2, (rows.points[:, None] - p.grid.nodes[None, :]) ** 2)
+
     def test_adjoint_identity(self, benchmark_model):
         jac = benchmark_model.jacobian(initial_guess(benchmark_model.params))
         w = jac.quadrature.weights

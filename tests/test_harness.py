@@ -16,6 +16,7 @@ from gnflow import (
     GridFunction,
     InversePower,
     SolverConfig,
+    bound_curve,
     default_u0,
     load_spec,
     parse_stop_rule,
@@ -266,6 +267,18 @@ class TestTrajectoryExport:
         assert content[0][-1] == "bound"
         for row in content[1:]:
             assert float(row[4]) < float(row[6])  # w strictly below the bound
+
+    def test_bound_column_matches_scalar_majorant(self, tmp_path):
+        inst = certified_diagonal_instance()
+        config = SolverConfig(stepper="rk", tau=0.1, max_steps=300, stop_rule=FixedSteps(300))
+        report = run_flow(inst.model, inst.schedule, inst.x0, config, reference=inst.solution)
+        u0 = default_u0(inst.certificate, inst.w0)
+        path = tmp_path / "certified.csv"
+        trajectory_export(report, path, certificate=inst.certificate, u0=u0)
+        expected = [
+            format(bound_curve(inst.certificate, u0, p.t), ".12e") for p in report.trajectory
+        ]
+        assert [row[6] for row in read_csv(path)[1:]] == expected
 
     def test_sigma_nonincreasing_until_stop(self, tmp_path):
         model, x0, ref = build_problem(SMALL_PROBLEM)
