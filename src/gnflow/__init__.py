@@ -46,6 +46,7 @@ from .flow import (
     SolverConfig,
     TrajectoryPoint,
     euler_step,
+    parse_stop_rule,
     rk_midpoint_step,
     run_flow,
     velocity,
@@ -73,7 +74,6 @@ from .harness import (
     ExperimentSpec,
     TableRow,
     load_spec,
-    parse_stop_rule,
     run_table,
     save_spec,
     trajectory_export,

@@ -20,12 +20,11 @@ from typing import Optional, Sequence
 
 from .certificate import CertificateInputs, build_certificate
 from .errors import NumericalError, ScheduleError
-from .flow import SolverConfig, run_flow
+from .flow import SolverConfig, parse_stop_rule, run_flow
 from .gravimetry import GravimetryParams
 from .harness import (
     build_problem,
     load_spec,
-    parse_stop_rule,
     run_table,
     trajectory_export,
     write_table_csv,

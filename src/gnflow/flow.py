@@ -17,12 +17,12 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Literal, NamedTuple, Optional, Union
+from typing import Literal, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import DomainError, GridMismatchError, NonFiniteValueError, NumericalError
-from .grids import Grid, GridFunction, QuadratureWeights, l2_norm, sup_norm
+from .grids import Grid, GridFunction, QuadratureWeights, l2_norm, l2_norm_values
 from .schedules import Schedule, validate_rate_function
 
 @dataclass(frozen=True)
@@ -180,22 +180,67 @@ class OperatorModel(ABC):
         return None
 
 
+class StopRule(ABC):
+    """When `run_flow` stops.  At each accepted iterate k >= 0 the run asks
+    `stop_reason`, then stops at `max_steps`, then asks `alpha_stop` with
+    alpha(t_k) before stepping on from x_k."""
+
+    # report the iterate of minimal discrepancy rather than the last one
+    reports_best = False
+
+    @abstractmethod
+    def validate(self) -> None:
+        """Raise ValueError for a bad rule parameter."""
+
+    @abstractmethod
+    def describe(self) -> str:
+        """Canonical parsable descriptor, e.g. ``increase:3``."""
+
+    @abstractmethod
+    def stop_reason(self, k: int, sigma: float, steps_above_best: int) -> Optional[str]:
+        """Why the run stops at iterate k with discrepancy sigma, else None."""
+
+    def alpha_stop(self, alpha: float) -> Optional[str]:
+        """Why no step is taken with regularization alpha, else None."""
+        return None
+
+
 @dataclass(frozen=True)
-class FixedSteps:
+class FixedSteps(StopRule):
     """Run exactly `count` steps (bounded by max_steps)."""
 
     count: int
 
+    def validate(self) -> None:
+        if self.count < 0:
+            raise ValueError("fixed step count must be nonnegative")
+
+    def describe(self) -> str:
+        return f"fixed:{self.count}"
+
+    def stop_reason(self, k: int, sigma: float, steps_above_best: int) -> Optional[str]:
+        return "fixed_steps" if k == self.count else None
+
 
 @dataclass(frozen=True)
-class DiscrepancyFloor:
+class DiscrepancyFloor(StopRule):
     """Stop at the first iterate whose discrepancy is <= tol."""
 
     tol: float
 
+    def validate(self) -> None:
+        if not self.tol >= 0:
+            raise ValueError("discrepancy floor must be nonnegative")
+
+    def describe(self) -> str:
+        return f"floor:{self.tol:g}"
+
+    def stop_reason(self, k: int, sigma: float, steps_above_best: int) -> Optional[str]:
+        return "discrepancy_floor" if sigma <= self.tol else None
+
 
 @dataclass(frozen=True)
-class FirstDiscrepancyIncrease:
+class FirstDiscrepancyIncrease(StopRule):
     """Stop after `patience` consecutive steps above the running minimum
     discrepancy, and report the minimizing iterate.
 
@@ -207,8 +252,39 @@ class FirstDiscrepancyIncrease:
     patience: int = 3
     alpha_floor: float = 1e-13
 
+    reports_best = True
 
-StopRule = Union[FixedSteps, DiscrepancyFloor, FirstDiscrepancyIncrease]
+    def validate(self) -> None:
+        if self.patience < 1:
+            raise ValueError("patience must be >= 1")
+
+    def describe(self) -> str:
+        return f"increase:{self.patience}"
+
+    def stop_reason(self, k: int, sigma: float, steps_above_best: int) -> Optional[str]:
+        return "discrepancy_increase" if steps_above_best >= self.patience else None
+
+    def alpha_stop(self, alpha: float) -> Optional[str]:
+        return "alpha_floor" if alpha < self.alpha_floor else None
+
+
+def parse_stop_rule(text: str) -> StopRule:
+    """Parse ``fixed:N``, ``floor:tol`` or ``increase:patience``."""
+    head, sep, tail = text.strip().lower().partition(":")
+    try:
+        if head == "fixed" and sep:
+            return FixedSteps(int(tail))
+        if head == "floor" and sep:
+            return DiscrepancyFloor(float(tail))
+        if head == "increase" and sep:
+            return FirstDiscrepancyIncrease(int(tail))
+    except ValueError as exc:
+        raise ValueError(f"bad stop-rule parameter in {text!r}: {exc}") from exc
+    raise ValueError(
+        f"unknown stop rule {text!r}; expected fixed:N, floor:tol or increase:patience"
+    )
+
+
 StepperName = Literal["euler", "rk"]
 
 
@@ -229,15 +305,9 @@ class SolverConfig:
             raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
         if self.record_every < 1:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")
-        if isinstance(self.stop_rule, DiscrepancyFloor) and not self.stop_rule.tol >= 0:
-            raise ValueError("discrepancy floor must be nonnegative")
-        if isinstance(self.stop_rule, FixedSteps) and self.stop_rule.count < 0:
-            raise ValueError("fixed step count must be nonnegative")
-        if (
-            isinstance(self.stop_rule, FirstDiscrepancyIncrease)
-            and self.stop_rule.patience < 1
-        ):
-            raise ValueError("patience must be >= 1")
+        if not isinstance(self.stop_rule, StopRule):
+            raise ValueError(f"unknown stop rule {self.stop_rule!r}")
+        self.stop_rule.validate()
 
 
 @dataclass(frozen=True)
@@ -268,6 +338,75 @@ class RunReport:
     stop_reason: str
 
 
+def _direction(
+    alpha: float, x: np.ndarray, x0: np.ndarray, lin: Linearization
+) -> np.ndarray:
+    """The stage direction d at nodal values x: (J* J + alpha I) d =
+    -(J* phi(x) + alpha (x - x0)), from the linearization at x."""
+    res, jac = lin
+    rhs = -(jac.adjoint_apply(res.values) + alpha * (x - x0))
+    return jac.normal_solve(alpha, rhs)
+
+
+def _euler(
+    model: OperatorModel,
+    schedule: Schedule,
+    t_k: float,
+    alpha_k: float,
+    x_k: GridFunction,
+    x0: GridFunction,
+    tau: float,
+    lin: Linearization,
+) -> GridFunction:
+    d = _direction(alpha_k, x_k.values, x0.values, lin)
+    return GridFunction(model.grid, x_k.values + tau * d)
+
+
+def _midpoint(
+    model: OperatorModel,
+    schedule: Schedule,
+    t_k: float,
+    alpha_k: float,
+    x_k: GridFunction,
+    x0: GridFunction,
+    tau: float,
+    lin: Linearization,
+) -> GridFunction:
+    d1 = _direction(alpha_k, x_k.values, x0.values, lin)
+    x_half = GridFunction(model.grid, x_k.values + 0.5 * tau * d1)
+    reason = model.domain_violation(x_half)
+    if reason is not None:
+        raise DomainError(f"half-step point inadmissible: {reason}")
+    alpha_half = schedule.alpha(t_k + 0.5 * tau)
+    d2 = _direction(alpha_half, x_half.values, x0.values, model.linearize(x_half))
+    return GridFunction(model.grid, x_k.values + tau * d2)
+
+
+# Stage routines shared by the public steppers and `run_flow`: both take
+# alpha(t_k) and the linearization at x_k, and the midpoint rule checks and
+# linearizes its half-step point itself.
+_STEPPERS = {"euler": _euler, "rk": _midpoint}
+
+
+def _stage_inputs(
+    model: OperatorModel,
+    schedule: Schedule,
+    t: float,
+    x: GridFunction,
+    x0: GridFunction,
+    lin: Optional[Linearization],
+) -> tuple[float, Linearization]:
+    """Check that x and x0 live on the model grid and that x is admissible,
+    then return alpha(t) and the linearization at x (`lin`, or computed)."""
+    if x.grid != model.grid or x0.grid != model.grid:
+        raise GridMismatchError("x and x0 must live on the model grid")
+    reason = model.domain_violation(x)
+    if reason is not None:
+        raise DomainError(reason)
+    alpha = schedule.alpha(t)
+    return alpha, lin if lin is not None else model.linearize(x)
+
+
 def velocity(
     model: OperatorModel,
     schedule: Schedule,
@@ -281,17 +420,11 @@ def velocity(
     Solves (J* J + alpha(t) I) d = -(J* phi(x) + alpha(t) (x - x0)) with the
     weighted adjoint J*; the system matrix is symmetric positive definite in
     the weighted inner product.  `lin` is the linearization at x, computed
-    here when omitted.
+    here when omitted.  Checks that x and x0 live on the model grid and that
+    x is admissible, then computes d with the stage routine `run_flow` uses.
     """
-    if x.grid != model.grid or x0.grid != model.grid:
-        raise GridMismatchError("x and x0 must live on the model grid")
-    reason = model.domain_violation(x)
-    if reason is not None:
-        raise DomainError(reason)
-    alpha = schedule.alpha(t)
-    res, jac = lin if lin is not None else model.linearize(x)
-    rhs = -(jac.adjoint_apply(res.values) + alpha * (x.values - x0.values))
-    return GridFunction(model.grid, jac.normal_solve(alpha, rhs))
+    alpha, lin = _stage_inputs(model, schedule, t, x, x0, lin)
+    return GridFunction(model.grid, _direction(alpha, x.values, x0.values, lin))
 
 
 def euler_step(
@@ -305,9 +438,10 @@ def euler_step(
 ) -> GridFunction:
     """x_{k+1} = x_k + tau * F(t_k, x_k); with tau = 1 this is one damped
     Gauss-Newton iteration with regularization alpha(t_k).  `lin` is the
-    linearization at x_k, computed when omitted."""
-    d = velocity(model, schedule, t_k, x_k, x0, lin)
-    return GridFunction(model.grid, x_k.values + tau * d.values)
+    linearization at x_k, computed when omitted.  Validates x_k and x0 as
+    `velocity` does and shares its stage routine with `run_flow`."""
+    alpha, lin = _stage_inputs(model, schedule, t_k, x_k, x0, lin)
+    return _euler(model, schedule, t_k, alpha, x_k, x0, tau, lin)
 
 
 def rk_midpoint_step(
@@ -321,17 +455,11 @@ def rk_midpoint_step(
 ) -> GridFunction:
     """Explicit midpoint step: half Euler step, then a full step using the
     velocity at (t_k + tau/2, x_half).  Second-order accurate in tau.
-    `lin` is the linearization at x_k, computed when omitted."""
-    d1 = velocity(model, schedule, t_k, x_k, x0, lin)
-    x_half = GridFunction(model.grid, x_k.values + 0.5 * tau * d1.values)
-    reason = model.domain_violation(x_half)
-    if reason is not None:
-        raise DomainError(f"half-step point inadmissible: {reason}")
-    d2 = velocity(model, schedule, t_k + 0.5 * tau, x_half, x0)
-    return GridFunction(model.grid, x_k.values + tau * d2.values)
-
-
-_STEPPERS = {"euler": euler_step, "rk": rk_midpoint_step}
+    `lin` is the linearization at x_k, computed when omitted.  Validates x_k
+    and x0 as `velocity` does, raises DomainError for an inadmissible
+    half-step point, and shares its stage routine with `run_flow`."""
+    alpha, lin = _stage_inputs(model, schedule, t_k, x_k, x0, lin)
+    return _midpoint(model, schedule, t_k, alpha, x_k, x0, tau, lin)
 
 
 def run_flow(
@@ -345,9 +473,12 @@ def run_flow(
 
     Each iterate is linearized once: its residual gives the discrepancy
     sigma_k = ||phi(x_k)||_L2, which drives the stop rule, and the pair is
-    handed to the stepper for the next velocity.  Under
+    handed to the stepper for the next direction.  alpha(t_k) is evaluated
+    once per time point and serves the stop rule, the step and the record;
+    each new point is checked for admissibility once.  Under
     FirstDiscrepancyIncrease the iterate with minimal discrepancy is
-    returned and steps_taken is its index.
+    returned and steps_taken is its index.  The trajectory keeps every
+    `record_every`-th iterate and the last accepted one.
     Non-finite iterates or domain violations end the run in-band: the report
     carries the last good state and diverged=True.
     """
@@ -362,97 +493,78 @@ def run_flow(
 
     stepper = _STEPPERS[config.stepper]
     rule = config.stop_rule
+    tau = config.tau
     quad = model.quadrature
 
-    trajectory: list[TrajectoryPoint] = []
+    def reference_errors(x: GridFunction) -> tuple[float, float]:
+        """Sup and L2 norms of x - reference."""
+        diff = x.values - reference.values
+        err_sup = float(np.max(np.abs(diff)))
+        if not math.isfinite(err_sup):
+            raise NonFiniteValueError("grid function contains NaN or infinite values")
+        return err_sup, l2_norm_values(diff, quad.weights)
 
-    def record(k: int, x: GridFunction, sigma: float, force: bool = False) -> None:
-        if not force and k % config.record_every != 0:
-            return
-        t_k = k * config.tau
-        alpha_k = schedule.alpha(t_k)
+    def point(k: int, x: GridFunction, sigma: float, alpha_k: float) -> TrajectoryPoint:
         w = err_sup = None
         if reference is not None:
-            diff = GridFunction(model.grid, x.values - reference.values)
-            err = l2_norm(diff, quad)
+            err_sup, err = reference_errors(x)
             # alpha can underflow to zero on long degraded runs
             w = err / alpha_k if alpha_k > 0 else (0.0 if err == 0 else math.inf)
-            err_sup = sup_norm(diff)
-        trajectory.append(TrajectoryPoint(k, t_k, alpha_k, sigma, w, err_sup))
+        return TrajectoryPoint(k, k * tau, alpha_k, sigma, w, err_sup)
 
     x = x0
     lin = model.linearize(x)
     sigma = l2_norm(lin.residual, quad)
-    record(0, x, sigma)
+    alpha = schedule.alpha(0.0)
+    trajectory = [point(0, x, sigma, alpha)]
 
     best_x, best_sigma, best_k = x, sigma, 0
     diverged = False
-    stop_reason = "max_steps"
     k = 0
     steps_above_best = 0
-
-    if isinstance(rule, DiscrepancyFloor) and sigma <= rule.tol:
-        stop_reason = "discrepancy_floor"
-    elif isinstance(rule, FixedSteps) and rule.count == 0:
-        stop_reason = "fixed_steps"
-    else:
-        limit = config.max_steps
-        if isinstance(rule, FixedSteps):
-            limit = min(limit, rule.count)
-        while k < limit:
-            if (
-                isinstance(rule, FirstDiscrepancyIncrease)
-                and schedule.alpha(k * config.tau) < rule.alpha_floor
-            ):
-                stop_reason = "alpha_floor"
-                break
-            try:
-                t_k = k * config.tau
-                x_next = stepper(model, schedule, t_k, x, x0, config.tau, lin)
-                lin = None  # release J_k before assembling J_{k+1}
-                lin = model.linearize(x_next)
-                sigma_next = l2_norm(lin.residual, quad)
-            except (DomainError, NumericalError, NonFiniteValueError) as exc:
-                diverged = True
-                stop_reason = f"diverged: {exc}"
-                break
-            if not np.isfinite(sigma_next):
-                diverged = True
-                stop_reason = "diverged: non-finite discrepancy"
-                break
-            k += 1
-            x, sigma = x_next, sigma_next
-            record(k, x, sigma, force=(k == limit))
-            if sigma < best_sigma:
-                best_x, best_sigma, best_k = x, sigma, k
-                steps_above_best = 0
-            else:
-                steps_above_best += 1
-            if isinstance(rule, DiscrepancyFloor) and sigma <= rule.tol:
-                stop_reason = "discrepancy_floor"
-                break
-            if (
-                isinstance(rule, FirstDiscrepancyIncrease)
-                and steps_above_best >= rule.patience
-            ):
-                stop_reason = "discrepancy_increase"
-                break
+    while True:
+        stop_reason = rule.stop_reason(k, sigma, steps_above_best)
+        if stop_reason is None and k >= config.max_steps:
+            stop_reason = "max_steps"
+        if stop_reason is None:
+            stop_reason = rule.alpha_stop(alpha)
+        if stop_reason is not None:
+            break
+        try:
+            x_next = stepper(model, schedule, k * tau, alpha, x, x0, tau, lin)
+            reason = model.domain_violation(x_next)
+            if reason is not None:
+                raise DomainError(reason)
+            lin = None  # release J_k before assembling J_{k+1}
+            lin = model.linearize(x_next)
+            sigma_next = l2_norm(lin.residual, quad)
+        except (DomainError, NumericalError, NonFiniteValueError) as exc:
+            diverged = True
+            stop_reason = f"diverged: {exc}"
+            break
+        if not np.isfinite(sigma_next):
+            diverged = True
+            stop_reason = "diverged: non-finite discrepancy"
+            break
+        k += 1
+        x, sigma, alpha = x_next, sigma_next, schedule.alpha(k * tau)
+        if k % config.record_every == 0:
+            trajectory.append(point(k, x, sigma, alpha))
+        if sigma < best_sigma:
+            best_x, best_sigma, best_k = x, sigma, k
+            steps_above_best = 0
         else:
-            if isinstance(rule, FixedSteps) and k == rule.count:
-                stop_reason = "fixed_steps"
-            else:
-                stop_reason = "max_steps"
+            steps_above_best += 1
+    if trajectory[-1].step != k:
+        trajectory.append(point(k, x, sigma, alpha))
 
-    if isinstance(rule, FirstDiscrepancyIncrease):
+    steps = k
+    if rule.reports_best:
         x, sigma, steps = best_x, best_sigma, best_k
-    else:
-        steps = k
 
     err_sup = err_l2 = None
     if reference is not None:
-        diff = GridFunction(model.grid, x.values - reference.values)
-        err_sup = sup_norm(diff)
-        err_l2 = l2_norm(diff, quad)
+        err_sup, err_l2 = reference_errors(x)
     return RunReport(
         steps_taken=steps,
         final_x=x,

@@ -61,7 +61,7 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
+        vals = np.array(self.values, dtype=float)
         if vals.shape != (self.grid.node_count,):
             raise ValueError(
                 f"values shape {vals.shape} does not match grid with "
@@ -69,7 +69,6 @@ class GridFunction:
             )
         if not np.isfinite(vals).all():
             raise NonFiniteValueError("grid function contains NaN or infinite values")
-        vals = vals.copy()
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
@@ -124,7 +123,14 @@ def inner_product(f: GridFunction, g: GridFunction, w: QuadratureWeights) -> flo
 
 def l2_norm(f: GridFunction, w: QuadratureWeights) -> float:
     """Weighted discrete L2 norm sqrt(<f, f>)."""
-    return float(np.sqrt(inner_product(f, f, w)))
+    _require_same_grid(f.grid, w.grid)
+    return l2_norm_values(f.values, w.weights)
+
+
+def l2_norm_values(values: np.ndarray, weights: np.ndarray) -> float:
+    """`l2_norm` of raw nodal values, for a caller whose values already
+    live on the grid of the weights."""
+    return float(np.sqrt(float(weights @ (values * values))))
 
 
 def sup_norm(f: GridFunction) -> float:

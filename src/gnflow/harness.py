@@ -17,13 +17,12 @@ import numpy as np
 
 from .certificate import Certificate, bound_curve
 from .flow import (
-    DiscrepancyFloor,
     FirstDiscrepancyIncrease,
-    FixedSteps,
     OperatorModel,
     RunReport,
     SolverConfig,
     StopRule,
+    parse_stop_rule,
     run_flow,
 )
 from .grids import GridFunction
@@ -32,31 +31,6 @@ from .schedules import Schedule, parse_schedule, validate_rate_function
 from .synthetic import certified_diagonal_instance
 
 SYNTHETIC_PROBLEMS = ("certified-diagonal",)
-
-
-def parse_stop_rule(text: str) -> StopRule:
-    """Parse ``fixed:N``, ``floor:tol`` or ``increase:patience``."""
-    head, sep, tail = text.strip().lower().partition(":")
-    try:
-        if head == "fixed" and sep:
-            return FixedSteps(int(tail))
-        if head == "floor" and sep:
-            return DiscrepancyFloor(float(tail))
-        if head == "increase" and sep:
-            return FirstDiscrepancyIncrease(int(tail))
-    except ValueError as exc:
-        raise ValueError(f"bad stop-rule parameter in {text!r}: {exc}") from exc
-    raise ValueError(
-        f"unknown stop rule {text!r}; expected fixed:N, floor:tol or increase:patience"
-    )
-
-
-def format_stop_rule(rule: StopRule) -> str:
-    if isinstance(rule, FixedSteps):
-        return f"fixed:{rule.count}"
-    if isinstance(rule, DiscrepancyFloor):
-        return f"floor:{rule.tol:g}"
-    return f"increase:{rule.patience}"
 
 
 @dataclass(frozen=True)
@@ -266,7 +240,7 @@ def spec_to_config(spec: ExperimentSpec) -> dict:
         "schedules": [s.describe() for s in spec.schedules],
         "tau_values": list(spec.tau_values),
         "steppers": list(spec.steppers),
-        "stop_rule": format_stop_rule(spec.stop_rule),
+        "stop_rule": spec.stop_rule.describe(),
         "max_steps": spec.max_steps,
         "record_every": spec.record_every,
         "output_path": spec.output_path,

@@ -39,7 +39,7 @@ class CountingModel(OperatorModel):
 
     def __init__(self, inner: OperatorModel):
         self.inner = inner
-        self.calls = {"linearize": 0, "residual": 0, "jacobian": 0}
+        self.calls = {"linearize": 0, "residual": 0, "jacobian": 0, "domain_violation": 0}
 
     @property
     def grid(self):
@@ -62,6 +62,7 @@ class CountingModel(OperatorModel):
         return self.inner.linearize(x)
 
     def domain_violation(self, x):
+        self.calls["domain_violation"] += 1
         return self.inner.domain_violation(x)
 
 
@@ -340,6 +341,22 @@ class TestJacobianConsistency:
             np.testing.assert_allclose(fd, jac.apply(h), rtol=1e-6, atol=1e-9)
 
 
+@pytest.mark.parametrize(
+    "rule, message",
+    [
+        (FixedSteps(-1), "fixed step count must be nonnegative"),
+        (DiscrepancyFloor(-1.0), "discrepancy floor must be nonnegative"),
+        (DiscrepancyFloor(float("nan")), "discrepancy floor must be nonnegative"),
+        (FirstDiscrepancyIncrease(0), "patience must be >= 1"),
+        ("fixed:3", "unknown stop rule 'fixed:3'"),
+    ],
+)
+def test_solver_config_rejects_bad_stop_rule(rule, message):
+    with pytest.raises(ValueError) as excinfo:
+        SolverConfig(stop_rule=rule)
+    assert str(excinfo.value) == message
+
+
 class TestRunFlow:
     def test_starts_at_solution(self):
         grid = Grid(1.0, 5)
@@ -440,7 +457,114 @@ class TestRunFlow:
         assert not report.diverged
         k = report.trajectory[-1].step
         assert k > 10
-        assert model.calls == {"linearize": per_step * k + 1, "residual": 0, "jacobian": 0}
+        assert model.calls["linearize"] == per_step * k + 1
+        assert model.calls["residual"] == model.calls["jacobian"] == 0
+
+    @pytest.mark.parametrize("stepper", ["euler", "rk"])
+    @pytest.mark.parametrize("rule", [FirstDiscrepancyIncrease(3), FixedSteps(25)])
+    def test_one_alpha_and_domain_check_per_point(self, monkeypatch, stepper, rule):
+        # alpha is evaluated once per time point the run visits (t_k, and
+        # t_k + tau/2 for the midpoint rule) plus once by the rate-function
+        # check; the domain is checked once on entry, then once per iterate
+        # and half-step point
+        alpha = Exponential.alpha
+        alpha_calls = []
+
+        def counted(self, t):
+            alpha_calls.append(t)
+            return alpha(self, t)
+
+        monkeypatch.setattr(Exponential, "alpha", counted)
+        params = GravimetryParams(node_count=41)
+        model = CountingModel(GravimetryModel.synthetic(params))
+        config = SolverConfig(stepper=stepper, tau=0.1, max_steps=150, stop_rule=rule)
+        report = run_flow(model, Exponential(0.1, 3.5), initial_guess(params), config)
+        assert not report.diverged
+        k = report.trajectory[-1].step
+        assert k > 10
+        half_points = k if stepper == "rk" else 0
+        assert len(alpha_calls) == 1 + (k + 1) + half_points
+        assert model.calls["domain_violation"] == 1 + k + half_points
+
+    @pytest.mark.parametrize(
+        "rule, tau, schedule, reason",
+        [
+            (DiscrepancyFloor(1e-3), 0.1, UNIT_SCHEDULE, "discrepancy_floor"),
+            (FirstDiscrepancyIncrease(2), 2.5, UNIT_SCHEDULE, "discrepancy_increase"),
+            (FirstDiscrepancyIncrease(3), 0.1, Exponential(1.0, 10.0), "alpha_floor"),
+            (FixedSteps(400), 2.5, Exponential(1e-8, 1.0), "diverged: "),
+        ],
+    )
+    def test_thinned_trajectory_ends_at_last_iterate(self, rule, tau, schedule, reason):
+        # an early stop records its last accepted iterate (the last, not the
+        # best, under the increase rule) even off the thinning stride
+        grid = Grid(1.0, 5)
+        sol = GridFunction.constant(grid, 0.5 if reason != "diverged: " else 0.0)
+        model = DiagonalLinearModel(sol, np.ones(5))
+        x0 = GridFunction.constant(grid, 1.0)
+
+        def run(record_every):
+            config = SolverConfig(
+                stepper="euler", tau=tau, max_steps=400, stop_rule=rule, record_every=record_every
+            )
+            return run_flow(model, schedule, x0, config, reference=sol)
+
+        full, thinned = run(1), run(4)
+        assert full.stop_reason.startswith(reason)
+        last = full.trajectory[-1].step
+        assert last % 4 != 0
+        expected = [p for p in full.trajectory if p.step % 4 == 0 or p.step == last]
+        assert thinned.trajectory == expected
+        assert thinned.stop_reason == full.stop_reason
+        assert thinned.steps_taken == full.steps_taken
+
+    @pytest.mark.parametrize("stepper", ["euler", "rk"])
+    def test_in_band_divergence_reasons(self, stepper):
+        # x0 below the true interface: large steps push the profile, or the
+        # midpoint rule's half step, above the admissible ceiling
+        params = GravimetryParams(node_count=41)
+        model = GravimetryModel.synthetic(params)
+        schedule = Exponential(1e-3, 1.0)
+        x0 = GridFunction.constant(params.grid, 0.0)
+        tau = 2.0 if stepper == "euler" else 3.0
+        config = SolverConfig(stepper=stepper, tau=tau, max_steps=30, stop_rule=FixedSteps(30))
+        report = run_flow(model, schedule, x0, config)
+        assert report.diverged and report.steps_taken >= 1
+        x, t_k = report.final_x, report.steps_taken * tau
+        assert model.domain_violation(x) is None
+        if stepper == "euler":
+            bad = euler_step(model, schedule, t_k, x, x0, tau)
+            prefix = "diverged: "
+        else:
+            d1 = velocity(model, schedule, t_k, x, x0)
+            bad = GridFunction(params.grid, x.values + 0.5 * tau * d1.values)
+            prefix = "diverged: half-step point inadmissible: "
+        reason = model.domain_violation(bad)
+        assert reason.startswith("interface value ")
+        assert reason.endswith(" exceeds admissible ceiling depth - epsilon = 1.999")
+        assert report.stop_reason == prefix + reason
+
+    @pytest.mark.parametrize("stepper", ["euler", "rk"])
+    @pytest.mark.parametrize("problem", ["gravimetry", "diagonal"])
+    def test_run_flow_matches_manual_steps(self, stepper, problem):
+        # run_flow's internal stage path and the public steppers agree bit
+        # for bit
+        if problem == "gravimetry":
+            params = GravimetryParams(node_count=201)
+            model, schedule = GravimetryModel.synthetic(params), Exponential(0.1, 3.5)
+            x0, k = initial_guess(params), 12
+        else:
+            inst = certified_diagonal_instance()
+            model, schedule, x0, k = inst.model, inst.schedule, inst.x0, 40
+        tau = 0.1
+        config = SolverConfig(stepper=stepper, tau=tau, max_steps=k, stop_rule=FixedSteps(k))
+        report = run_flow(model, schedule, x0, config)
+        assert report.steps_taken == k and not report.diverged
+        step = euler_step if stepper == "euler" else rk_midpoint_step
+        x = x0
+        for i in range(k):
+            x = step(model, schedule, i * tau, x, x0, tau)
+        assert np.array_equal(report.final_x.values, x.values)
 
     def test_certified_midpoint_run_factors_once(self, monkeypatch):
         # the diagonal model's Jacobian is one object per model, so its

@@ -26,7 +26,7 @@ from gnflow import (
     trajectory_export,
 )
 from gnflow.flow import RunReport, TrajectoryPoint
-from gnflow.harness import TABLE_HEADER, build_problem, format_stop_rule, spec_from_config, spec_to_config
+from gnflow.harness import TABLE_HEADER, build_problem, spec_from_config, spec_to_config
 from gnflow.synthetic import certified_diagonal_instance
 
 SMALL_PROBLEM = GravimetryParams(node_count=41)
@@ -45,7 +45,7 @@ class TestStopRuleParsing:
 
     def test_round_trip(self):
         for rule in (FixedSteps(7), DiscrepancyFloor(0.5), FirstDiscrepancyIncrease(2)):
-            assert parse_stop_rule(format_stop_rule(rule)) == rule
+            assert parse_stop_rule(rule.describe()) == rule
 
     @pytest.mark.parametrize("bad", ["", "fixed", "fixed:x", "never:1", "floor:"])
     def test_malformed(self, bad):
