@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import sys
 from typing import Optional, Sequence
 
@@ -157,7 +156,6 @@ def _cmd_table(args) -> int:
     except (ScheduleError, ValueError) as exc:
         return _fail(f"bad config: {exc}", USAGE_ERROR)
     out = args.out or spec.output_path
-    spec = dataclasses.replace(spec, output_path=None)  # CLI owns the output
     try:
         rows = run_table(spec)
         if out:

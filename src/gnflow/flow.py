@@ -149,10 +149,10 @@ class Linearization(NamedTuple):
 class OperatorModel(ABC):
     """Nonlinear problem phi(x) = 0 posed on one shared grid.
 
-    `jacobian` must return the Frechet derivative of `residual`: directional
-    finite differences of the residual agree with the Jacobian action to
-    first order at every admissible point.  The flow gets both through
-    `linearize`, which a model may override to share work between them.
+    A model answers one operator call, `linearize`, which returns phi(x) and
+    its Frechet derivative together: directional finite differences of the
+    residual agree with the Jacobian action to first order at every
+    admissible point.
     """
 
     @property
@@ -164,20 +164,18 @@ class OperatorModel(ABC):
     def quadrature(self) -> QuadratureWeights: ...
 
     @abstractmethod
-    def residual(self, x: GridFunction) -> GridFunction:
-        """phi(x), in the data space."""
-
-    @abstractmethod
-    def jacobian(self, x: GridFunction) -> JacobianMatrix:
-        """phi'(x), dense or factored, with the weighted adjoint attached."""
-
     def linearize(self, x: GridFunction) -> Linearization:
-        """`residual(x)` and `jacobian(x)` together."""
-        return Linearization(self.residual(x), self.jacobian(x))
+        """phi(x), in the data space, and phi'(x), dense or factored, with
+        the weighted adjoint attached.  Raises DomainError when x is
+        inadmissible."""
 
-    def domain_violation(self, x: GridFunction) -> Optional[str]:
-        """None when x is admissible, else a human-readable reason."""
-        return None
+    def residual(self, x: GridFunction) -> GridFunction:
+        """phi(x) alone, from `linearize`."""
+        return self.linearize(x).residual
+
+    def jacobian(self, x: GridFunction) -> JacobianMatrix:
+        """phi'(x) alone, from `linearize`."""
+        return self.linearize(x).jacobian
 
 
 class StopRule(ABC):
@@ -348,7 +346,7 @@ def _direction(
     return jac.normal_solve(alpha, rhs)
 
 
-def _euler(
+def _step(
     model: OperatorModel,
     schedule: Schedule,
     t_k: float,
@@ -357,54 +355,31 @@ def _euler(
     x0: GridFunction,
     tau: float,
     lin: Linearization,
+    midpoint: bool,
 ) -> GridFunction:
+    """x_{k+1} from alpha(t_k) and the linearization at x_k: an Euler step
+    along the direction at x_k or, for the midpoint rule, a step along the
+    direction at the half-step point x_k + (tau/2) d, linearized here."""
     d = _direction(alpha_k, x_k.values, x0.values, lin)
+    if midpoint:
+        x_half = GridFunction(model.grid, x_k.values + 0.5 * tau * d)
+        try:
+            lin = model.linearize(x_half)
+        except DomainError as exc:
+            raise DomainError(f"half-step point inadmissible: {exc}") from exc
+        d = _direction(schedule.alpha(t_k + 0.5 * tau), x_half.values, x0.values, lin)
     return GridFunction(model.grid, x_k.values + tau * d)
 
 
-def _midpoint(
-    model: OperatorModel,
-    schedule: Schedule,
-    t_k: float,
-    alpha_k: float,
-    x_k: GridFunction,
-    x0: GridFunction,
-    tau: float,
-    lin: Linearization,
-) -> GridFunction:
-    d1 = _direction(alpha_k, x_k.values, x0.values, lin)
-    x_half = GridFunction(model.grid, x_k.values + 0.5 * tau * d1)
-    reason = model.domain_violation(x_half)
-    if reason is not None:
-        raise DomainError(f"half-step point inadmissible: {reason}")
-    alpha_half = schedule.alpha(t_k + 0.5 * tau)
-    d2 = _direction(alpha_half, x_half.values, x0.values, model.linearize(x_half))
-    return GridFunction(model.grid, x_k.values + tau * d2)
-
-
-# Stage routines shared by the public steppers and `run_flow`: both take
-# alpha(t_k) and the linearization at x_k, and the midpoint rule checks and
-# linearizes its half-step point itself.
-_STEPPERS = {"euler": _euler, "rk": _midpoint}
-
-
 def _stage_inputs(
-    model: OperatorModel,
-    schedule: Schedule,
-    t: float,
-    x: GridFunction,
-    x0: GridFunction,
-    lin: Optional[Linearization],
+    model: OperatorModel, schedule: Schedule, t: float, x: GridFunction, x0: GridFunction
 ) -> tuple[float, Linearization]:
-    """Check that x and x0 live on the model grid and that x is admissible,
-    then return alpha(t) and the linearization at x (`lin`, or computed)."""
+    """Check that x and x0 live on the model grid, then return alpha(t) and
+    the linearization at x (which raises DomainError for an inadmissible x)."""
     if x.grid != model.grid or x0.grid != model.grid:
         raise GridMismatchError("x and x0 must live on the model grid")
-    reason = model.domain_violation(x)
-    if reason is not None:
-        raise DomainError(reason)
-    alpha = schedule.alpha(t)
-    return alpha, lin if lin is not None else model.linearize(x)
+    lin = model.linearize(x)
+    return schedule.alpha(t), lin
 
 
 def velocity(
@@ -413,17 +388,16 @@ def velocity(
     t: float,
     x: GridFunction,
     x0: GridFunction,
-    lin: Optional[Linearization] = None,
 ) -> GridFunction:
     """Right-hand side of the regularized Gauss-Newton flow at (t, x).
 
     Solves (J* J + alpha(t) I) d = -(J* phi(x) + alpha(t) (x - x0)) with the
     weighted adjoint J*; the system matrix is symmetric positive definite in
-    the weighted inner product.  `lin` is the linearization at x, computed
-    here when omitted.  Checks that x and x0 live on the model grid and that
-    x is admissible, then computes d with the stage routine `run_flow` uses.
+    the weighted inner product.  Checks that x and x0 live on the model grid,
+    linearizes x (raising DomainError when it is inadmissible) and computes
+    d with the stage routine `run_flow` uses.
     """
-    alpha, lin = _stage_inputs(model, schedule, t, x, x0, lin)
+    alpha, lin = _stage_inputs(model, schedule, t, x, x0)
     return GridFunction(model.grid, _direction(alpha, x.values, x0.values, lin))
 
 
@@ -434,14 +408,12 @@ def euler_step(
     x_k: GridFunction,
     x0: GridFunction,
     tau: float,
-    lin: Optional[Linearization] = None,
 ) -> GridFunction:
     """x_{k+1} = x_k + tau * F(t_k, x_k); with tau = 1 this is one damped
-    Gauss-Newton iteration with regularization alpha(t_k).  `lin` is the
-    linearization at x_k, computed when omitted.  Validates x_k and x0 as
-    `velocity` does and shares its stage routine with `run_flow`."""
-    alpha, lin = _stage_inputs(model, schedule, t_k, x_k, x0, lin)
-    return _euler(model, schedule, t_k, alpha, x_k, x0, tau, lin)
+    Gauss-Newton iteration with regularization alpha(t_k).  Validates x_k
+    and x0 as `velocity` does and shares its step routine with `run_flow`."""
+    alpha, lin = _stage_inputs(model, schedule, t_k, x_k, x0)
+    return _step(model, schedule, t_k, alpha, x_k, x0, tau, lin, midpoint=False)
 
 
 def rk_midpoint_step(
@@ -451,15 +423,14 @@ def rk_midpoint_step(
     x_k: GridFunction,
     x0: GridFunction,
     tau: float,
-    lin: Optional[Linearization] = None,
 ) -> GridFunction:
     """Explicit midpoint step: half Euler step, then a full step using the
     velocity at (t_k + tau/2, x_half).  Second-order accurate in tau.
-    `lin` is the linearization at x_k, computed when omitted.  Validates x_k
-    and x0 as `velocity` does, raises DomainError for an inadmissible
-    half-step point, and shares its stage routine with `run_flow`."""
-    alpha, lin = _stage_inputs(model, schedule, t_k, x_k, x0, lin)
-    return _midpoint(model, schedule, t_k, alpha, x_k, x0, tau, lin)
+    Validates x_k and x0 as `velocity` does, raises DomainError for an
+    inadmissible half-step point, and shares its step routine with
+    `run_flow`."""
+    alpha, lin = _stage_inputs(model, schedule, t_k, x_k, x0)
+    return _step(model, schedule, t_k, alpha, x_k, x0, tau, lin, midpoint=True)
 
 
 def run_flow(
@@ -473,9 +444,9 @@ def run_flow(
 
     Each iterate is linearized once: its residual gives the discrepancy
     sigma_k = ||phi(x_k)||_L2, which drives the stop rule, and the pair is
-    handed to the stepper for the next direction.  alpha(t_k) is evaluated
+    handed to the step for the next direction.  alpha(t_k) is evaluated
     once per time point and serves the stop rule, the step and the record;
-    each new point is checked for admissibility once.  Under
+    the linearization of each new point is its one admissibility check.  Under
     FirstDiscrepancyIncrease the iterate with minimal discrepancy is
     returned and steps_taken is its index.  The trajectory keeps every
     `record_every`-th iterate and the last accepted one.
@@ -487,11 +458,12 @@ def run_flow(
         raise GridMismatchError("x0 must live on the model grid")
     if reference is not None and reference.grid != model.grid:
         raise GridMismatchError("reference must live on the model grid")
-    reason = model.domain_violation(x0)
-    if reason is not None:
-        raise DomainError(f"initial point inadmissible: {reason}")
+    try:
+        lin = model.linearize(x0)
+    except DomainError as exc:
+        raise DomainError(f"initial point inadmissible: {exc}") from exc
 
-    stepper = _STEPPERS[config.stepper]
+    midpoint = config.stepper == "rk"
     rule = config.stop_rule
     tau = config.tau
     quad = model.quadrature
@@ -513,7 +485,6 @@ def run_flow(
         return TrajectoryPoint(k, k * tau, alpha_k, sigma, w, err_sup)
 
     x = x0
-    lin = model.linearize(x)
     sigma = l2_norm(lin.residual, quad)
     alpha = schedule.alpha(0.0)
     trajectory = [point(0, x, sigma, alpha)]
@@ -531,10 +502,7 @@ def run_flow(
         if stop_reason is not None:
             break
         try:
-            x_next = stepper(model, schedule, k * tau, alpha, x, x0, tau, lin)
-            reason = model.domain_violation(x_next)
-            if reason is not None:
-                raise DomainError(reason)
+            x_next = _step(model, schedule, k * tau, alpha, x, x0, tau, lin, midpoint)
             lin = None  # release J_k before assembling J_{k+1}
             lin = model.linearize(x_next)
             sigma_next = l2_norm(lin.residual, quad)

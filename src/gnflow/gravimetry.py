@@ -283,19 +283,14 @@ class GravimetryModel(OperatorModel):
     def quadrature(self) -> QuadratureWeights:
         return self.params.quadrature
 
-    def residual(self, x: GridFunction) -> GridFunction:
-        return self.linearize(x).residual
-
-    def jacobian(self, x: GridFunction) -> JacobianMatrix:
-        return self.linearize(x).jacobian
-
     def linearize(self, x: GridFunction) -> Linearization:
         """phi(x) and the factored phi'(x) = P C from the kernel at m
         Chebyshev rows: the anomaly g_c and C are evaluated there, and the
         residual is P g_c - y.  m is the smallest ladder rung at or above the
         a-priori estimate whose interpolation passes the check rows, going up
         one rung on failure; once 2m > n the kernel is assembled densely and
-        the left factor is the identity."""
+        the left factor is the identity.  Raises DomainError for an x off the
+        model grid or above the admissible ceiling."""
         p = self.params
         h = _heights(x, p)
         for m in _rungs(_rank_estimate(h, p)):
@@ -311,8 +306,3 @@ class GravimetryModel(OperatorModel):
         g, j = _kernels(p.squared_distances, h, p)
         jac = JacobianMatrix(j, p.quadrature)
         return Linearization(GridFunction(self.grid, g - self.data.values), jac)
-
-    def domain_violation(self, x: GridFunction) -> Optional[str]:
-        if x.grid != self.grid:
-            return "interface profile is not sampled on the model grid"
-        return self.params.admissibility_violation(x.values)

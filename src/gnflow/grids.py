@@ -85,10 +85,6 @@ class QuadratureWeights:
 
     @cached_property
     def weights(self) -> np.ndarray:
-        if self.grid.node_count % 2 == 0:
-            raise EvenNodeCountError(
-                f"Simpson weights need an odd node count, got {self.grid.node_count}"
-            )
         w = np.full(self.grid.node_count, 2.0)
         w[1::2] = 4.0
         w[0] = w[-1] = 1.0

@@ -111,7 +111,6 @@ class RateVerdict:
     constant log-derivative.
     """
 
-    schedule: Schedule
     alpha0: float
     log_derivative0: float
     strict: bool
@@ -146,7 +145,6 @@ def validate_rate_function(s: Schedule) -> RateVerdict:
     if not 0.0 < alpha0 < math.inf:
         raise ScheduleError(f"alpha(0) must be positive and finite, got {alpha0}")
     return RateVerdict(
-        schedule=s,
         alpha0=alpha0,
         log_derivative0=s.log_derivative(0.0),
         strict=strict,

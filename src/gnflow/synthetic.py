@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .certificate import Certificate, CertificateInputs, build_certificate
-from .flow import JacobianMatrix, OperatorModel
+from .flow import JacobianMatrix, Linearization, OperatorModel
 from .grids import Grid, GridFunction, QuadratureWeights, l2_norm, simpson_weights
 from .schedules import InversePower, Schedule
 
@@ -50,17 +50,16 @@ class DiagonalLinearModel(OperatorModel):
     def quadrature(self) -> QuadratureWeights:
         return simpson_weights(self.grid)
 
-    def residual(self, x: GridFunction) -> GridFunction:
-        return GridFunction(self.grid, self.spectrum * (x.values - self.solution.values))
-
     @cached_property
     def _jacobian(self) -> JacobianMatrix:
         return JacobianMatrix(np.diag(self.spectrum), self.quadrature)
 
-    def jacobian(self, x: GridFunction) -> JacobianMatrix:
-        """The constant derivative of the linear map: one object per model,
-        so its normal-solve decomposition is computed once."""
-        return self._jacobian
+    def linearize(self, x: GridFunction) -> Linearization:
+        """phi(x) with the constant derivative of the linear map: one
+        Jacobian object per model, so its normal-solve decomposition is
+        computed once."""
+        res = GridFunction(self.grid, self.spectrum * (x.values - self.solution.values))
+        return Linearization(res, self._jacobian)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ from gnflow import (
     GravimetryModel,
     GravimetryParams,
     JacobianMatrix,
+    Linearization,
     OperatorModel,
     simpson_weights,
 )
@@ -31,11 +32,9 @@ class LinearMatrixModel(OperatorModel):
     def quadrature(self):
         return self._quad
 
-    def residual(self, x: GridFunction) -> GridFunction:
-        return GridFunction(self._grid, self.matrix @ x.values - self.rhs)
-
-    def jacobian(self, x: GridFunction) -> JacobianMatrix:
-        return JacobianMatrix(self.matrix, self._quad)
+    def linearize(self, x: GridFunction) -> Linearization:
+        res = GridFunction(self._grid, self.matrix @ x.values - self.rhs)
+        return Linearization(res, JacobianMatrix(self.matrix, self._quad))
 
 
 def identity_model(grid: Grid) -> LinearMatrixModel:

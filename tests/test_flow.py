@@ -13,6 +13,7 @@ from gnflow import (
     GravimetryParams,
     Grid,
     GridFunction,
+    GridMismatchError,
     InversePower,
     JacobianMatrix,
     OperatorModel,
@@ -35,11 +36,12 @@ UNIT_SCHEDULE = Exponential(1.0, 1.0)  # alpha(0) = 1
 
 
 class CountingModel(OperatorModel):
-    """Delegates to `inner` and counts each operator call by name."""
+    """Delegates to `inner` and counts its operator calls; `residual` and
+    `jacobian` come from the base class, so they count as linearizations."""
 
     def __init__(self, inner: OperatorModel):
         self.inner = inner
-        self.calls = {"linearize": 0, "residual": 0, "jacobian": 0, "domain_violation": 0}
+        self.linearizations = 0
 
     @property
     def grid(self):
@@ -49,21 +51,9 @@ class CountingModel(OperatorModel):
     def quadrature(self):
         return self.inner.quadrature
 
-    def residual(self, x):
-        self.calls["residual"] += 1
-        return self.inner.residual(x)
-
-    def jacobian(self, x):
-        self.calls["jacobian"] += 1
-        return self.inner.jacobian(x)
-
     def linearize(self, x):
-        self.calls["linearize"] += 1
+        self.linearizations += 1
         return self.inner.linearize(x)
-
-    def domain_violation(self, x):
-        self.calls["domain_violation"] += 1
-        return self.inner.domain_violation(x)
 
 
 def random_jacobian(rng, n=None, l=None) -> JacobianMatrix:
@@ -190,6 +180,21 @@ class TestJacobianMatrix:
                 assert np.linalg.norm(inv, ord=2) <= 1.0 / alpha + 1e-10
 
 
+def test_model_contract_is_linearize():
+    # grid, quadrature and linearize are the whole contract; residual and
+    # jacobian come from linearize, and no model overrides them
+    assert OperatorModel.__abstractmethods__ == {"grid", "quadrature", "linearize"}
+    for cls in (GravimetryModel, DiagonalLinearModel, LinearMatrixModel):
+        assert not {"residual", "jacobian", "domain_violation"} & set(vars(cls)), cls
+    grid = Grid(1.0, 5)
+    model = identity_model(grid)
+    x = GridFunction(grid, np.linspace(-1.0, 1.0, 5))
+    assert np.array_equal(model.residual(x).values, x.values)
+    assert np.array_equal(model.jacobian(x).matrix, np.eye(5))
+    d = velocity(model, UNIT_SCHEDULE, 0.0, x, x)
+    np.testing.assert_allclose(d.values, -x.values / 2, rtol=1e-13)
+
+
 class TestVelocity:
     def test_stationary_at_solution(self):
         grid = Grid(1.0, 5)
@@ -234,6 +239,20 @@ class TestVelocity:
 
 
 class TestSteppers:
+    @pytest.mark.parametrize("step", [velocity, euler_step, rk_midpoint_step])
+    def test_input_point_checked(self, benchmark_model, step):
+        # the linearization of the input point is its admissibility check
+        p = benchmark_model.params
+        tau = () if step is velocity else (0.1,)
+        x0 = initial_guess(p)
+        too_high = GridFunction.constant(p.grid, p.depth)
+        with pytest.raises(DomainError, match="^interface value 2 exceeds admissible ceiling"):
+            step(benchmark_model, UNIT_SCHEDULE, 0.0, too_high, x0, *tau)
+        foreign = GridFunction.constant(Grid(1.0, 21), 1.0)
+        for x, anchor in ((foreign, x0), (x0, foreign)):
+            with pytest.raises(GridMismatchError):
+                step(benchmark_model, UNIT_SCHEDULE, 0.0, x, anchor, *tau)
+
     def test_euler_fixed_point(self):
         grid = Grid(1.0, 5)
         sol = GridFunction(grid, np.linspace(0.2, 0.8, 5))
@@ -457,16 +476,14 @@ class TestRunFlow:
         assert not report.diverged
         k = report.trajectory[-1].step
         assert k > 10
-        assert model.calls["linearize"] == per_step * k + 1
-        assert model.calls["residual"] == model.calls["jacobian"] == 0
+        assert model.linearizations == per_step * k + 1
 
     @pytest.mark.parametrize("stepper", ["euler", "rk"])
     @pytest.mark.parametrize("rule", [FirstDiscrepancyIncrease(3), FixedSteps(25)])
     def test_one_alpha_and_domain_check_per_point(self, monkeypatch, stepper, rule):
         # alpha is evaluated once per time point the run visits (t_k, and
         # t_k + tau/2 for the midpoint rule) plus once by the rate-function
-        # check; the domain is checked once on entry, then once per iterate
-        # and half-step point
+        # check; the domain is checked once per point, by its linearization
         alpha = Exponential.alpha
         alpha_calls = []
 
@@ -474,9 +491,17 @@ class TestRunFlow:
             alpha_calls.append(t)
             return alpha(self, t)
 
+        violation = GravimetryParams.admissibility_violation
+        domain_checks = []
+
+        def counted_check(self, values):
+            domain_checks.append(float(np.max(values)))
+            return violation(self, values)
+
         monkeypatch.setattr(Exponential, "alpha", counted)
         params = GravimetryParams(node_count=41)
-        model = CountingModel(GravimetryModel.synthetic(params))
+        model = GravimetryModel.synthetic(params)
+        monkeypatch.setattr(GravimetryParams, "admissibility_violation", counted_check)
         config = SolverConfig(stepper=stepper, tau=0.1, max_steps=150, stop_rule=rule)
         report = run_flow(model, Exponential(0.1, 3.5), initial_guess(params), config)
         assert not report.diverged
@@ -484,7 +509,7 @@ class TestRunFlow:
         assert k > 10
         half_points = k if stepper == "rk" else 0
         assert len(alpha_calls) == 1 + (k + 1) + half_points
-        assert model.calls["domain_violation"] == 1 + k + half_points
+        assert len(domain_checks) == 1 + k + half_points
 
     @pytest.mark.parametrize(
         "rule, tau, schedule, reason",
@@ -531,7 +556,7 @@ class TestRunFlow:
         report = run_flow(model, schedule, x0, config)
         assert report.diverged and report.steps_taken >= 1
         x, t_k = report.final_x, report.steps_taken * tau
-        assert model.domain_violation(x) is None
+        assert params.admissibility_violation(x.values) is None
         if stepper == "euler":
             bad = euler_step(model, schedule, t_k, x, x0, tau)
             prefix = "diverged: "
@@ -539,13 +564,13 @@ class TestRunFlow:
             d1 = velocity(model, schedule, t_k, x, x0)
             bad = GridFunction(params.grid, x.values + 0.5 * tau * d1.values)
             prefix = "diverged: half-step point inadmissible: "
-        reason = model.domain_violation(bad)
+        reason = params.admissibility_violation(bad.values)
         assert reason.startswith("interface value ")
         assert reason.endswith(" exceeds admissible ceiling depth - epsilon = 1.999")
         assert report.stop_reason == prefix + reason
 
     @pytest.mark.parametrize("stepper", ["euler", "rk"])
-    @pytest.mark.parametrize("problem", ["gravimetry", "diagonal"])
+    @pytest.mark.parametrize("problem", ["gravimetry", "diagonal", "matrix"])
     def test_run_flow_matches_manual_steps(self, stepper, problem):
         # run_flow's internal stage path and the public steppers agree bit
         # for bit
@@ -553,6 +578,12 @@ class TestRunFlow:
             params = GravimetryParams(node_count=201)
             model, schedule = GravimetryModel.synthetic(params), Exponential(0.1, 3.5)
             x0, k = initial_guess(params), 12
+        elif problem == "matrix":
+            # a model that defines only grid, quadrature and linearize
+            rng = np.random.default_rng(36)
+            a = rng.standard_normal((7, 7)) + 7 * np.eye(7)
+            model = LinearMatrixModel(Grid(1.0, 7), a, rng.standard_normal(7))
+            schedule, x0, k = UNIT_SCHEDULE, GridFunction.constant(model.grid, 0.0), 10
         else:
             inst = certified_diagonal_instance()
             model, schedule, x0, k = inst.model, inst.schedule, inst.x0, 40

@@ -162,11 +162,14 @@ class TestSyntheticData:
 
 class TestModelInterfaceContract:
     def test_domain_violation_messages(self, benchmark_model):
+        # linearize is the admissibility check: it raises DomainError with
+        # the reason at an inadmissible point and accepts an admissible one
         p = benchmark_model.params
-        ok = initial_guess(p)
-        assert benchmark_model.domain_violation(ok) is None
+        benchmark_model.linearize(initial_guess(p))
         bad = GridFunction.constant(p.grid, p.depth - p.epsilon / 2)
-        assert "ceiling" in benchmark_model.domain_violation(bad)
+        with pytest.raises(DomainError, match="ceiling") as excinfo:
+            benchmark_model.linearize(bad)
+        assert str(excinfo.value) == p.admissibility_violation(bad.values)
 
     @pytest.mark.parametrize("node_count", [201, 801])
     @pytest.mark.parametrize("point", [initial_guess, true_interface])

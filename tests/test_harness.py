@@ -24,6 +24,7 @@ from gnflow import (
     run_table,
     save_spec,
     trajectory_export,
+    write_table_csv,
 )
 from gnflow.flow import RunReport, TrajectoryPoint
 from gnflow.harness import TABLE_HEADER, build_problem, spec_from_config, spec_to_config
@@ -70,6 +71,11 @@ class TestExperimentSpecValidation:
                 steppers=["heun"],
             )
 
+    @pytest.mark.parametrize("tau", [-0.1, 0.0, float("nan"), float("inf")])
+    def test_bad_tau_rejected(self, tau):
+        with pytest.raises(ValueError, match="tau must be positive and finite"):
+            ExperimentSpec(schedules=[Exponential(0.1, 3.5)], tau_values=[0.1, tau])
+
     def test_unknown_synthetic_problem_rejected(self):
         with pytest.raises(ValueError):
             ExperimentSpec(
@@ -88,9 +94,9 @@ class TestRunTable:
             tau_values=[0.1, 0.2],
             steppers=["euler", "rk"],
             max_steps=120,
-            output_path=str(out),
         )
         rows = run_table(spec)
+        write_table_csv(rows, out)
         assert [(r.schedule, r.tau) for r in rows] == [
             ("exp:alpha0=0.1,beta=3.5", 0.1),
             ("exp:alpha0=0.1,beta=3.5", 0.2),
@@ -126,9 +132,8 @@ class TestRunTable:
                 schedules=[Exponential(0.1, 3.5)],
                 tau_values=[0.1],
                 max_steps=120,
-                output_path=str(out),
             )
-            run_table(spec)
+            write_table_csv(run_table(spec), out)
             paths.append(out.read_bytes())
         assert paths[0] == paths[1]
 
