@@ -72,10 +72,10 @@ from .grids import (
 )
 from .harness import (
     ExperimentSpec,
+    RunSummary,
     TableRow,
     load_spec,
     run_table,
-    save_spec,
     trajectory_export,
     write_table_csv,
 )

@@ -32,7 +32,7 @@ class CertificateInputs:
     n1, n2        bounds on the first/second derivative norms in the ball
     v_norm        norm of the source element v
     alpha0        schedule value at t = 0
-    logderiv0     schedule log-derivative at t = 0 (nonpositive in practice)
+    logderiv0     schedule log-derivative at t = 0 (nonpositive)
     radius        ball radius R around the solution
     w0            scaled initial error ||x0 - x_hat||/alpha(0), when known
     source        how the source representation is justified: synthetic
@@ -64,6 +64,8 @@ class CertificateInputs:
             raise ValueError("v_norm must be nonnegative")
         if self.alpha0 <= 0:
             raise ValueError("alpha0 must be positive")
+        if self.logderiv0 > 0:
+            raise ValueError("logderiv0 must be nonpositive: alpha must not grow")
         if self.radius <= 0:
             raise ValueError("radius must be positive")
         if self.w0 is not None and self.w0 < 0:

@@ -22,9 +22,11 @@ from .errors import NumericalError, ScheduleError
 from .flow import SolverConfig, parse_stop_rule, run_flow
 from .gravimetry import GravimetryParams
 from .harness import (
+    RunSummary,
     build_problem,
     load_spec,
     run_table,
+    summary_cells,
     trajectory_export,
     write_table_csv,
     write_table_rows,
@@ -34,8 +36,13 @@ from .schedules import parse_schedule, validate_rate_function
 USAGE_ERROR = 2
 RUNTIME_ERROR = 1
 
+SOLVE_HEADER = (
+    "stepper", "schedule", "tau", "N", "delta_sup", "delta_l2", "sigma", "diverged", "stop_reason",
+)
+
 
 def build_parser() -> argparse.ArgumentParser:
+    config, params = SolverConfig, GravimetryParams  # the flag defaults
     parser = argparse.ArgumentParser(
         prog="gnflow",
         description="Regularized Gauss-Newton flow solver and benchmark harness",
@@ -44,20 +51,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="run the flow once on the gravimetry benchmark")
     solve.add_argument("--schedule", required=True, help="e.g. exp:alpha0=0.1,beta=3.5")
-    solve.add_argument("--tau", type=float, default=0.1, help="time step (default 0.1)")
-    solve.add_argument("--stepper", choices=("euler", "rk"), default="euler")
-    solve.add_argument("--max-steps", type=int, default=500)
     solve.add_argument(
-        "--stop",
-        default="increase:3",
-        help="fixed:N | floor:tol | increase:patience (default increase:3)",
+        "--tau", type=float, default=config.tau, help="time step (default %(default)s)"
     )
-    solve.add_argument("--grid-n", type=int, default=201, help="node count (odd)")
-    solve.add_argument("--H", type=float, default=2.0, help="source depth")
-    solve.add_argument("--l", type=float, default=1.0, help="half-width of the interval")
-    solve.add_argument("--rho", type=float, default=1.0, help="density")
-    solve.add_argument("--epsilon", type=float, default=1e-3, help="domain margin")
-    solve.add_argument("--record-every", type=int, default=1)
+    solve.add_argument("--stepper", choices=("euler", "rk"), default=config.stepper)
+    solve.add_argument("--max-steps", type=int, default=config.max_steps)
+    stop_help = "fixed:N | floor:tol | increase:patience (default %(default)s)"
+    solve.add_argument("--stop", default=config.stop_rule.describe(), help=stop_help)
+    solve.add_argument("--grid-n", type=int, default=params.node_count, help="node count (odd)")
+    solve.add_argument("--H", type=float, default=params.depth, help="source depth")
+    solve.add_argument(
+        "--l", type=float, default=params.half_width, help="half-width of the interval"
+    )
+    solve.add_argument("--rho", type=float, default=params.density, help="density")
+    solve.add_argument("--epsilon", type=float, default=params.epsilon, help="domain margin")
+    solve.add_argument("--record-every", type=int, default=config.record_every)
     solve.add_argument("--out", help="write the summary CSV here instead of stdout")
     solve.add_argument("--trajectory", help="write per-step trajectory CSV here")
     solve.set_defaults(func=_cmd_solve)
@@ -118,23 +126,9 @@ def _cmd_solve(args) -> int:
 
     try:
         report = run_flow(model, schedule, x0, config, reference=reference)
-        rows = [
-            (
-                "stepper", "schedule", "tau", "N",
-                "delta_sup", "delta_l2", "sigma", "diverged", "stop_reason",
-            ),
-            (
-                args.stepper,
-                schedule.describe(),
-                format(args.tau, "g"),
-                str(report.steps_taken),
-                format(report.error_sup, ".12e"),
-                format(report.error_l2, ".12e"),
-                format(report.discrepancy, ".12e"),
-                str(int(report.diverged)),
-                report.stop_reason,
-            ),
-        ]
+        cells = summary_cells(RunSummary.of(report))
+        row = [args.stepper, schedule.describe(), format(args.tau, "g"), *cells, report.stop_reason]
+        rows = [SOLVE_HEADER, row]
         if args.out:
             with open(args.out, "w", newline="") as fh:
                 csv.writer(fh).writerows(rows)

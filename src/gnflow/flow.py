@@ -332,8 +332,12 @@ class RunReport:
     error_sup: Optional[float]
     error_l2: Optional[float]
     trajectory: list[TrajectoryPoint]
-    diverged: bool
     stop_reason: str
+
+    @property
+    def diverged(self) -> bool:
+        """Whether the run broke down and ended in band."""
+        return self.stop_reason.startswith("diverged")
 
 
 def _direction(
@@ -490,7 +494,6 @@ def run_flow(
     trajectory = [point(0, x, sigma, alpha)]
 
     best_x, best_sigma, best_k = x, sigma, 0
-    diverged = False
     k = 0
     steps_above_best = 0
     while True:
@@ -507,11 +510,9 @@ def run_flow(
             lin = model.linearize(x_next)
             sigma_next = l2_norm(lin.residual, quad)
         except (DomainError, NumericalError, NonFiniteValueError) as exc:
-            diverged = True
             stop_reason = f"diverged: {exc}"
             break
         if not np.isfinite(sigma_next):
-            diverged = True
             stop_reason = "diverged: non-finite discrepancy"
             break
         k += 1
@@ -540,6 +541,5 @@ def run_flow(
         error_sup=err_sup,
         error_l2=err_l2,
         trajectory=trajectory,
-        diverged=diverged,
         stop_reason=stop_reason,
     )

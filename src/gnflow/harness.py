@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass, field, fields
+from typing import Collection, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .flow import (
     RunReport,
     SolverConfig,
     StopRule,
+    TrajectoryPoint,
     parse_stop_rule,
     run_flow,
 )
@@ -55,6 +56,8 @@ class ExperimentSpec:
             validate_rate_function(schedule)
         if not self.steppers:
             raise ValueError("spec needs at least one stepper")
+        if len(set(self.steppers)) != len(self.steppers):
+            raise ValueError(f"steppers must be distinct, got {list(self.steppers)}")
         if isinstance(self.problem, str) and self.problem not in SYNTHETIC_PROBLEMS:
             raise ValueError(
                 f"unknown synthetic problem {self.problem!r}; "
@@ -78,36 +81,34 @@ class ExperimentSpec:
 
 
 @dataclass(frozen=True)
+class RunSummary:
+    """What the table reports of one run: the `RunReport` fields of the
+    same names, so that no trajectory outlives the run."""
+
+    steps_taken: int
+    error_sup: Optional[float]
+    error_l2: Optional[float]
+    discrepancy: float
+    diverged: bool
+
+    @classmethod
+    def of(cls, report: RunReport) -> RunSummary:
+        return cls(*(getattr(report, f.name) for f in fields(cls)))
+
+
+@dataclass(frozen=True)
 class TableRow:
-    """Per-(schedule, tau) results for both steppers (None when not run)."""
+    """Per-(schedule, tau) results, keyed by the name of each stepper run."""
 
     schedule: str
     tau: float
-    n_euler: Optional[int] = None
-    delta_e_sup: Optional[float] = None
-    delta_e_l2: Optional[float] = None
-    sigma_e: Optional[float] = None
-    euler_diverged: Optional[bool] = None
-    n_rk: Optional[int] = None
-    delta_r_sup: Optional[float] = None
-    delta_r_l2: Optional[float] = None
-    sigma_r: Optional[float] = None
-    rk_diverged: Optional[bool] = None
+    runs: Mapping[str, RunSummary]
 
 
 TABLE_HEADER = (
-    "schedule",
-    "tau",
-    "N_euler",
-    "delta_E_sup",
-    "delta_E_l2",
-    "sigma_E",
-    "euler_diverged",
-    "N_rk",
-    "delta_R_sup",
-    "delta_R_l2",
-    "sigma_R",
-    "rk_diverged",
+    "schedule", "tau",
+    "N_euler", "delta_E_sup", "delta_E_l2", "sigma_E", "euler_diverged",
+    "N_rk", "delta_R_sup", "delta_R_l2", "sigma_R", "rk_diverged",
 )
 
 
@@ -130,22 +131,12 @@ def run_table(spec: ExperimentSpec) -> list[TableRow]:
     rows = []
     for schedule in spec.schedules:
         for tau in spec.tau_values:
-            row = TableRow(schedule=schedule.describe(), tau=tau)
+            runs = {}
             for stepper in spec.steppers:
                 config = spec.solver_config(stepper, tau)
                 report = run_flow(model, schedule, x0, config, reference=reference)
-                e = stepper[0]  # "e" or "r", the column prefix of the stepper
-                row = replace(
-                    row,
-                    **{
-                        f"n_{stepper}": report.steps_taken,
-                        f"delta_{e}_sup": report.error_sup,
-                        f"delta_{e}_l2": report.error_l2,
-                        f"sigma_{e}": report.discrepancy,
-                        f"{stepper}_diverged": report.diverged,
-                    },
-                )
-            rows.append(row)
+                runs[stepper] = RunSummary.of(report)
+            rows.append(TableRow(schedule.describe(), tau, runs))
     return rows
 
 
@@ -159,26 +150,22 @@ def _cell(value) -> str:
     return str(value)
 
 
+def summary_cells(summary: Optional[RunSummary]) -> list[str]:
+    """The CSV cells N, sup error, L2 error, discrepancy and diverged of one
+    run; all empty for a stepper that was not run."""
+    if summary is None:
+        return [""] * len(fields(RunSummary))
+    return [_cell(getattr(summary, f.name)) for f in fields(RunSummary)]
+
+
 def write_table_rows(rows: Sequence[TableRow], fh) -> None:
     writer = csv.writer(fh)
     writer.writerow(TABLE_HEADER)
     for r in rows:
-        writer.writerow(
-            [
-                r.schedule,
-                _cell(r.tau),
-                _cell(r.n_euler),
-                _cell(r.delta_e_sup),
-                _cell(r.delta_e_l2),
-                _cell(r.sigma_e),
-                _cell(r.euler_diverged),
-                _cell(r.n_rk),
-                _cell(r.delta_r_sup),
-                _cell(r.delta_r_l2),
-                _cell(r.sigma_r),
-                _cell(r.rk_diverged),
-            ]
-        )
+        cells = [r.schedule, _cell(r.tau)]
+        for stepper in ("euler", "rk"):  # the column order of TABLE_HEADER
+            cells += summary_cells(r.runs.get(stepper))
+        writer.writerow(cells)
 
 
 def write_table_csv(rows: Sequence[TableRow], path) -> None:
@@ -201,11 +188,8 @@ def trajectory_export(
     with_bound = certificate is not None
     if with_bound and u0 is None:
         raise ValueError("exporting the bound column requires u0")
-    header = ["step", "t", "alpha", "sigma", "w", "error_sup"]
-    rows = [
-        [str(p.step), _cell(p.t), _cell(p.alpha), _cell(p.sigma), _cell(p.w), _cell(p.error_sup)]
-        for p in report.trajectory
-    ]
+    header = [f.name for f in fields(TrajectoryPoint)]
+    rows = [[_cell(getattr(p, name)) for name in header] for p in report.trajectory]
     if with_bound:
         header.append("bound")
         if rows:
@@ -216,30 +200,6 @@ def trajectory_export(
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
-
-
-def spec_to_config(spec: ExperimentSpec) -> dict:
-    """JSON-serializable form of a spec (round-trips via `spec_from_config`)."""
-    if isinstance(spec.problem, GravimetryParams):
-        problem = {
-            "l": spec.problem.half_width,
-            "H": spec.problem.depth,
-            "rho": spec.problem.density,
-            "epsilon": spec.problem.epsilon,
-            "grid_n": spec.problem.node_count,
-        }
-    else:
-        problem = spec.problem
-    return {
-        "problem": problem,
-        "schedules": [s.describe() for s in spec.schedules],
-        "tau_values": list(spec.tau_values),
-        "steppers": list(spec.steppers),
-        "stop_rule": spec.stop_rule.describe(),
-        "max_steps": spec.max_steps,
-        "record_every": spec.record_every,
-        "output_path": spec.output_path,
-    }
 
 
 _JSON_TYPE_NAMES = {dict: "object", list: "array", str: "string", float: "number", int: "integer"}
@@ -254,20 +214,15 @@ def _checked(value, name: str, kind: type):
     return kind(value)
 
 
-_CONFIG_KEYS = (
-    "problem",
-    "schedules",
-    "tau_values",
-    "steppers",
-    "stop_rule",
-    "max_steps",
-    "record_every",
-    "output_path",
-)
-_PROBLEM_KEYS = ("l", "H", "rho", "epsilon", "grid_n")
+_CONFIG_KEYS = tuple(f.name for f in fields(ExperimentSpec))
+# the GravimetryParams field of each problem key, with its JSON type
+_PROBLEM_KEYS = {
+    "l": ("half_width", float), "H": ("depth", float), "rho": ("density", float),
+    "epsilon": ("epsilon", float), "grid_n": ("node_count", int),
+}
 
 
-def _known_keys(doc: dict, name: str, known: tuple[str, ...]) -> dict:
+def _known_keys(doc: dict, name: str, known: Collection[str]) -> dict:
     """`doc`, checked to hold no key outside `known` (a misspelt key would
     otherwise silently run with its default)."""
     unknown = [key for key in doc if key not in known]
@@ -279,42 +234,49 @@ def _known_keys(doc: dict, name: str, known: tuple[str, ...]) -> dict:
     return doc
 
 
+def _problem_from_config(problem) -> Union[GravimetryParams, str]:
+    if isinstance(problem, str):
+        return problem
+    problem = _known_keys(_checked(problem, "problem", dict), "problem", _PROBLEM_KEYS)
+    return GravimetryParams(
+        **{
+            name: _checked(problem[key], f"problem.{key}", kind)
+            for key, (name, kind) in _PROBLEM_KEYS.items()
+            if key in problem
+        }
+    )
+
+
+def _array(value, name: str, item: str, kind: type) -> list:
+    """A JSON array checked to hold only values of the JSON type `kind`."""
+    return [_checked(v, item, kind) for v in _checked(value, name, list)]
+
+
+# how the value of each config key becomes its ExperimentSpec field
+_CONFIG_FIELDS = {
+    "problem": _problem_from_config,
+    "schedules": lambda v: [parse_schedule(s) for s in _array(v, "schedules", "schedule", str)],
+    "tau_values": lambda v: _array(v, "tau_values", "tau", float),
+    "steppers": lambda v: _array(v, "steppers", "stepper", str),
+    "stop_rule": lambda v: parse_stop_rule(_checked(v, "stop_rule", str)),
+    "max_steps": lambda v: _checked(v, "max_steps", int),
+    "record_every": lambda v: _checked(v, "record_every", int),
+    "output_path": lambda v: None if v is None else _checked(v, "output_path", str),
+}
+
+
 def spec_from_config(config: dict) -> ExperimentSpec:
     """Build a spec from a parsed JSON config document.
 
-    Unknown keys are rejected, every field is type-checked, and the problem
-    and each run's `SolverConfig` are built here, so a config the sweep
-    cannot run raises ValueError (DomainError for an inadmissible geometry)
-    before any run starts.
+    Unknown keys are rejected, every field is type-checked, an absent key
+    takes the default of its `ExperimentSpec` or `GravimetryParams` field,
+    and the problem and each run's `SolverConfig` are built here, so a
+    config the sweep cannot run raises ValueError (DomainError for an
+    inadmissible geometry) before any run starts.
     """
     config = _known_keys(_checked(config, "config", dict), "config", _CONFIG_KEYS)
-    problem = config.get("problem", {})
-    if isinstance(problem, str):
-        problem_obj: Union[GravimetryParams, str] = problem
-    else:
-        problem = _known_keys(_checked(problem, "problem", dict), "problem", _PROBLEM_KEYS)
-        problem_obj = GravimetryParams(
-            half_width=_checked(problem.get("l", 1.0), "problem.l", float),
-            depth=_checked(problem.get("H", 2.0), "problem.H", float),
-            density=_checked(problem.get("rho", 1.0), "problem.rho", float),
-            epsilon=_checked(problem.get("epsilon", 1e-3), "problem.epsilon", float),
-            node_count=_checked(problem.get("grid_n", 201), "problem.grid_n", int),
-        )
-    schedules = _checked(config.get("schedules", []), "schedules", list)
-    tau_values = _checked(config.get("tau_values", []), "tau_values", list)
-    steppers = _checked(config.get("steppers", ["euler", "rk"]), "steppers", list)
-    output_path = config.get("output_path")
     spec = ExperimentSpec(
-        problem=problem_obj,
-        schedules=[parse_schedule(_checked(s, "schedule", str)) for s in schedules],
-        tau_values=[_checked(t, "tau", float) for t in tau_values],
-        steppers=[_checked(s, "stepper", str) for s in steppers],
-        stop_rule=parse_stop_rule(
-            _checked(config.get("stop_rule", "increase:3"), "stop_rule", str)
-        ),
-        max_steps=_checked(config.get("max_steps", 500), "max_steps", int),
-        record_every=_checked(config.get("record_every", 1), "record_every", int),
-        output_path=None if output_path is None else _checked(output_path, "output_path", str),
+        **{key: _CONFIG_FIELDS[key](config[key]) for key in _CONFIG_KEYS if key in config}
     )
     build_problem(spec.problem)
     return spec
@@ -323,9 +285,3 @@ def spec_from_config(config: dict) -> ExperimentSpec:
 def load_spec(path) -> ExperimentSpec:
     with open(path) as fh:
         return spec_from_config(json.load(fh))
-
-
-def save_spec(spec: ExperimentSpec, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(spec_to_config(spec), fh, indent=2)
-        fh.write("\n")

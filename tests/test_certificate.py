@@ -8,7 +8,9 @@ import pytest
 
 from gnflow import (
     CertificateInputs,
+    Exponential,
     FixedSteps,
+    ScheduleError,
     SolverConfig,
     bound_curve,
     build_certificate,
@@ -151,6 +153,13 @@ class TestBuildCertificate:
         with pytest.raises(ValueError):
             CertificateInputs(n1=1.0, n2=1.0, v_norm=0.1, alpha0=0.0, logderiv0=0.0, radius=1.0)
 
+    def test_growing_schedule_rejected(self):
+        # logderiv0 > 0 would raise c2 and pass the certificate for a
+        # schedule that grows; zero (a constant schedule) stays accepted
+        with pytest.raises(ValueError, match="logderiv0 must be nonpositive"):
+            CertificateInputs(n1=1.0, n2=1.0, v_norm=0.3, alpha0=1.0, logderiv0=0.5, radius=10.0)
+        CertificateInputs(n1=1.0, n2=1.0, v_norm=0.3, alpha0=1.0, logderiv0=0.0, radius=10.0)
+
 
 WORKED_CERT = build_certificate(
     CertificateInputs(
@@ -225,7 +234,6 @@ def synthetic_report(samples) -> RunReport:
             TrajectoryPoint(step=k, t=t, alpha=1.0, sigma=0.0, w=w, error_sup=0.0)
             for k, (t, w) in enumerate(samples)
         ],
-        diverged=False,
         stop_reason="fixed_steps",
     )
 
@@ -301,6 +309,10 @@ class TestCertifiedDiagonalInstance:
         lhs = inst.solution.values - inst.x0.values
         rhs = inst.model.spectrum**2 * inst.v.values
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-15)
+
+    def test_growing_schedule_rejected(self):
+        with pytest.raises(ScheduleError, match="beta must be positive"):
+            certified_diagonal_instance(schedule=Exponential(0.1, -0.5))
 
     def test_flow_stays_under_majorant(self):
         inst = certified_diagonal_instance()

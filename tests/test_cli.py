@@ -75,6 +75,23 @@ class TestSolve:
         assert rc == 2
         assert "missing parameters" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--stop", "fixed:-1"], "fixed step count must be nonnegative"),
+            (["--stop", "increase:0"], "patience must be >= 1"),
+            (
+                ["--schedule", "exp:alpha0=0.1,beta=-1"],
+                "decay rate beta must be positive and finite for alpha to decrease, got -1.0",
+            ),
+        ],
+    )
+    def test_usage_error_message(self, flags, message, capsys):
+        # the last --schedule given wins
+        rc = run_cli(["solve", "--schedule", "exp:alpha0=0.1,beta=1", *flags])
+        assert rc == 2
+        assert capsys.readouterr().err == f"gnflow: {message}\n"
+
     def test_bad_stop_rule_usage_error(self):
         rc = run_cli(
             ["solve", "--schedule", "exp:alpha0=0.1,beta=1", "--stop", "sometimes:3"]
@@ -173,6 +190,25 @@ class TestTable:
         assert "'seed'" in errors[-1]
 
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"tau_values": 0.1}, "tau_values must be a JSON array, got 0.1"),
+            (
+                {"problem": {"grid_n": 21, "rho": 1.0, "Rho": 1.0}},
+                "unknown problem key(s) 'Rho'; expected l, H, rho, epsilon, grid_n",
+            ),
+            ({"steppers": ["euler", "euler"]}, "steppers must be distinct, got ['euler', 'euler']"),
+        ],
+    )
+    def test_bad_config_message(self, change, message, tmp_path, capsys):
+        config = {"schedules": ["exp:alpha0=0.1,beta=1"], "tau_values": [0.1], "max_steps": 3}
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({**config, **change}))
+        assert run_cli(["table", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"gnflow: bad config: {message}\n"
+
+
 class TestCertify:
     def test_worked_example_output(self, capsys):
         rc = run_cli(
@@ -202,6 +238,20 @@ class TestCertify:
         out = capsys.readouterr().out
         assert "condition positivity: FAIL" in out
         assert "certificate: FAIL" in out
+
+    def test_growing_schedule_usage_error(self, capsys):
+        # these constants pass the certificate with logderiv0 = 0.5
+        rc = run_cli(
+            [
+                "certify",
+                "--n1", "1", "--n2", "1", "--vnorm", "0.3",
+                "--alpha0", "1", "--logderiv0", "0.5", "--R", "10",
+            ]
+        )
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "gnflow: logderiv0 must be nonpositive: alpha must not grow\n"
 
     def test_invalid_inputs_usage_error(self, capsys):
         rc = run_cli(

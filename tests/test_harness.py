@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
+import json
 
 import numpy as np
 import pytest
@@ -22,12 +24,12 @@ from gnflow import (
     parse_stop_rule,
     run_flow,
     run_table,
-    save_spec,
     trajectory_export,
     write_table_csv,
 )
+from gnflow import harness
 from gnflow.flow import RunReport, TrajectoryPoint
-from gnflow.harness import TABLE_HEADER, build_problem, spec_from_config, spec_to_config
+from gnflow.harness import TABLE_HEADER, build_problem, spec_from_config, write_table_rows
 from gnflow.synthetic import certified_diagonal_instance
 
 SMALL_PROBLEM = GravimetryParams(node_count=41)
@@ -76,6 +78,15 @@ class TestExperimentSpecValidation:
         with pytest.raises(ValueError, match="tau must be positive and finite"):
             ExperimentSpec(schedules=[Exponential(0.1, 3.5)], tau_values=[0.1, tau])
 
+    def test_duplicate_stepper_rejected(self):
+        # a repeated stepper would run the same flow twice and keep one row
+        with pytest.raises(ValueError, match="steppers must be distinct"):
+            ExperimentSpec(
+                schedules=[Exponential(0.1, 3.5)],
+                tau_values=[0.1],
+                steppers=["euler", "rk", "euler"],
+            )
+
     def test_unknown_synthetic_problem_rejected(self):
         with pytest.raises(ValueError):
             ExperimentSpec(
@@ -104,9 +115,9 @@ class TestRunTable:
             ("invpow:alpha0=0.1,a=1,m=6", 0.2),
         ]
         for r in rows:
-            assert r.n_euler is not None and r.n_rk is not None
-            assert r.sigma_e >= 0 and r.sigma_r >= 0
-            assert r.n_euler <= 120 and r.n_rk <= 120
+            assert list(r.runs) == ["euler", "rk"]
+            assert r.runs["euler"].discrepancy >= 0 and r.runs["rk"].discrepancy >= 0
+            assert r.runs["euler"].steps_taken <= 120 and r.runs["rk"].steps_taken <= 120
         content = read_csv(out)
         assert content[0] == list(TABLE_HEADER)
         assert len(content) == 5
@@ -120,8 +131,11 @@ class TestRunTable:
             max_steps=120,
         )
         row = run_table(spec)[0]
-        assert row.n_euler is not None
-        assert row.n_rk is None and row.delta_r_sup is None
+        assert list(row.runs) == ["euler"]
+        assert row.runs["euler"].steps_taken > 0
+        out = io.StringIO()
+        write_table_rows([row], out)
+        assert out.getvalue().splitlines()[1].endswith(",0,,,,,")  # empty rk cells
 
     def test_determinism(self, tmp_path):
         paths = []
@@ -148,7 +162,7 @@ class TestRunTable:
             max_steps=40,
         )
         row = run_table(spec)[0]
-        assert row.euler_diverged or row.delta_e_sup >= 0.1
+        assert row.runs["euler"].diverged or row.runs["euler"].error_sup >= 0.1
 
     def test_synthetic_problem_by_name(self):
         spec = ExperimentSpec(
@@ -160,8 +174,8 @@ class TestRunTable:
             max_steps=50,
         )
         row = run_table(spec)[0]
-        assert not row.euler_diverged
-        assert row.delta_e_l2 < 1.0
+        assert not row.runs["euler"].diverged
+        assert row.runs["euler"].error_l2 < 1.0
 
     def test_table2_replication_row(self, benchmark_params):
         # exponential sweep at tau=0.1: the beta=3 row of the reference table
@@ -177,25 +191,41 @@ class TestRunTable:
         rows = run_table(spec)
         assert len(rows) == 10
         beta3 = rows[2]
-        assert 100 * 0.5 <= beta3.n_euler <= 100 * 1.5
-        assert 1.06e-2 / 3 <= beta3.delta_e_sup <= 1.06e-2 * 3
+        assert 100 * 0.5 <= beta3.runs["euler"].steps_taken <= 100 * 1.5
+        assert 1.06e-2 / 3 <= beta3.runs["euler"].error_sup <= 1.06e-2 * 3
 
 
 class TestConfigRoundTrip:
     def test_gravimetry_spec(self, tmp_path):
-        spec = ExperimentSpec(
-            problem=GravimetryParams(node_count=41),
+        path = tmp_path / "config.json"
+        path.write_text(
+            """{
+              "problem": {"l": 1.5, "H": 2.5, "rho": 2, "epsilon": 0.01, "grid_n": 41},
+              "schedules": ["exp:alpha0=0.1,beta=3.5", "invpow:alpha0=0.1,a=1,m=2"],
+              "tau_values": [0.1, 1],
+              "steppers": ["rk"],
+              "stop_rule": "fixed:50",
+              "max_steps": 77,
+              "record_every": 2,
+              "output_path": "out.csv"
+            }"""
+        )
+        assert set(json.loads(path.read_text())) == set(harness._CONFIG_KEYS)
+        assert load_spec(path) == ExperimentSpec(
+            problem=GravimetryParams(
+                half_width=1.5, depth=2.5, density=2.0, epsilon=0.01, node_count=41
+            ),
             schedules=[Exponential(0.1, 3.5), InversePower(0.1, 1.0, 2.0)],
-            tau_values=[0.1],
-            steppers=["euler"],
-            stop_rule=FirstDiscrepancyIncrease(3),
+            tau_values=[0.1, 1.0],
+            steppers=["rk"],
+            stop_rule=FixedSteps(50),
             max_steps=77,
             record_every=2,
             output_path="out.csv",
         )
-        path = tmp_path / "config.json"
-        save_spec(spec, path)
-        assert load_spec(path) == spec
+
+    def test_every_spec_field_is_a_config_key(self):
+        assert harness._CONFIG_KEYS == tuple(harness._CONFIG_FIELDS)
 
     def test_named_problem_spec(self):
         config = {
@@ -206,7 +236,6 @@ class TestConfigRoundTrip:
         }
         spec = spec_from_config(config)
         assert spec.problem == "certified-diagonal"
-        assert spec_to_config(spec)["problem"] == "certified-diagonal"
 
     def test_defaults_fill_in(self):
         spec = spec_from_config(
@@ -214,7 +243,11 @@ class TestConfigRoundTrip:
         )
         assert spec.stop_rule == FirstDiscrepancyIncrease(3)
         assert spec.max_steps == 500
-        assert isinstance(spec.problem, GravimetryParams)
+        assert spec == ExperimentSpec(schedules=[Exponential(0.1, 3.5)], tau_values=[0.1])
+        spec = spec_from_config(
+            {"problem": {"H": 3.0}, "schedules": ["exp:alpha0=0.1,beta=3.5"], "tau_values": [0.1]}
+        )
+        assert spec.problem == GravimetryParams(depth=3.0)
 
 
 class TestBuildProblem:
@@ -240,7 +273,6 @@ class TestTrajectoryExport:
             error_sup=None,
             error_l2=None,
             trajectory=[],
-            diverged=False,
             stop_reason="fixed_steps",
         )
 
