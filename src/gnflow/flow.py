@@ -28,28 +28,30 @@ from .schedules import Schedule, validate_rate_function
 @dataclass(frozen=True)
 class LeftFactor:
     """Left factor L (n x m, m < n) of a factored Jacobian J = L C, with the
-    triangular R of the thin QR S L = Q R, S = diag(sqrt(w)), that the normal
-    solve reads.  Fixed per grid, so it is built once and shared."""
+    thin QR S L = Q R, S = diag(sqrt(w)), that the normal solve reads.  Fixed
+    per grid, so it is built once and shared."""
 
     matrix: np.ndarray
+    q: np.ndarray
     r: np.ndarray
 
     @classmethod
     def of(cls, matrix: np.ndarray, quadrature: QuadratureWeights) -> LeftFactor:
         matrix = np.array(matrix, dtype=float)
-        matrix.flags.writeable = False
-        r = np.linalg.qr(np.sqrt(quadrature.weights)[:, None] * matrix, mode="r")
-        r.flags.writeable = False
-        return cls(matrix, r)
+        q, r = np.linalg.qr(np.sqrt(quadrature.weights)[:, None] * matrix)
+        for a in (matrix, q, r):
+            a.flags.writeable = False
+        return cls(matrix, q, r)
 
 
 class _Decomposition(NamedTuple):
-    """sqrt(w), and the singular values sigma and right singular vectors V
-    (n x r) of the middle factor of a Jacobian."""
+    """sqrt(w), the middle factor M of a Jacobian, and the left singular
+    vectors U and squared singular values sigma^2 of M."""
 
     sqrt_weights: np.ndarray
-    sigma: np.ndarray
-    v: np.ndarray
+    middle: np.ndarray
+    u: np.ndarray
+    sigma_squared: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -89,13 +91,14 @@ class JacobianMatrix:
 
     @cached_property
     def decomposition(self) -> _Decomposition:
-        """Thin SVD of the middle factor M = R C S^{-1} (or S C S^{-1} when
-        L = I), S = diag(sqrt(w)), computed on first use and shared by every
-        `normal_solve` on this Jacobian, whatever its alpha.
+        """The middle factor M = R C S^{-1} (or S C S^{-1} when L = I),
+        S = diag(sqrt(w)), and its left singular pairs, computed on first use
+        and shared by every `normal_solve` on this Jacobian, whatever its
+        alpha.
 
-        B = S J S^{-1} = Q M with Q orthonormal columns, so B and M share
-        singular values and right singular vectors; the SVD of the m x n
-        factor M costs O(m^2 n).
+        B = S J S^{-1} = Q M with Q orthonormal columns.  M^T = Q2 R2 gives
+        M M^T = R2^T R2, so the SVD of the square R2^T yields U and sigma
+        at O(m^2 n) without forming Q2 or the right singular vectors.
         """
         s = np.sqrt(self.quadrature.weights)
         if self.left is None:
@@ -104,36 +107,30 @@ class JacobianMatrix:
             middle = self.left.r @ self.matrix
         middle /= s[None, :]
         try:
-            if middle.shape[0] < middle.shape[1]:
-                # M^T = Q2 R2 and R2^T = U diag(sigma) W^T give V = Q2 W, at
-                # about half the cost of numpy's SVD of the wide M
-                q, r = np.linalg.qr(middle.T)
-                _, sigma, wt = np.linalg.svd(r.T)
-                v = q @ wt.T
-            else:
-                _, sigma, vt = np.linalg.svd(middle)
-                v = vt.T
+            u, sigma, _ = np.linalg.svd(np.linalg.qr(middle.T, mode="r").T)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"SVD of the Jacobian failed: {exc}") from exc
-        return _Decomposition(s, sigma, v)
+        return _Decomposition(s, middle, u, sigma**2)
 
-    def normal_solve(self, alpha: float, rhs: np.ndarray) -> np.ndarray:
-        """Solve (J* J + alpha I) d = rhs in O(mn) from the cached `decomposition`
-        M = U diag(sigma) V^T: with z = S rhs,
+    def normal_solve(self, alpha: float, residual: np.ndarray, offset: np.ndarray) -> np.ndarray:
+        """d with (J* J + alpha I) d = -(J* residual + alpha offset), in O(mn)
+        from the cached `decomposition` and without forming that right-hand
+        side.  In y = S d and e = S offset the system reads
+        (M^T M + alpha I)(y + e) = M^T f with f = M e - Q^T S residual, so
 
-            d = S^{-1} [V (sigma^2 + alpha)^{-1} V^T z + (z - V V^T z) / alpha],
+            d = S^{-1} M^T U (sigma^2 + alpha)^{-1} U^T f - offset,
 
-        exact, since B = S J S^{-1} vanishes off the span of V.
+        the Tikhonov form of the step (Elden, BIT 17, 1977), whose rounding
+        is not divided by alpha.
         """
         if alpha <= 0:
             raise NumericalError(f"normal equations need alpha > 0, got {alpha}")
-        s, sigma, v = self.decomposition
-        z = s * rhs
-        coeffs = v.T @ z
-        y = v @ (coeffs / (sigma**2 + alpha))
-        if len(sigma) < len(z):  # for a square M this is rounding noise over alpha
-            y += (z - v @ coeffs) / alpha
-        d = y / s
+        s, middle, u, sigma_squared = self.decomposition
+        data = s * residual
+        f = middle @ (s * offset)
+        f -= data if self.left is None else self.left.q.T @ data
+        w = u @ ((u.T @ f) / (sigma_squared + alpha))
+        d = (middle.T @ w) / s - offset
         if not np.isfinite(d).all():
             raise NumericalError("normal-equation solve produced non-finite values")
         return d
@@ -345,9 +342,7 @@ def _direction(
 ) -> np.ndarray:
     """The stage direction d at nodal values x: (J* J + alpha I) d =
     -(J* phi(x) + alpha (x - x0)), from the linearization at x."""
-    res, jac = lin
-    rhs = -(jac.adjoint_apply(res.values) + alpha * (x - x0))
-    return jac.normal_solve(alpha, rhs)
+    return lin.jacobian.normal_solve(alpha, lin.residual.values, x - x0)
 
 
 def _step(

@@ -56,8 +56,8 @@ class DiagonalLinearModel(OperatorModel):
 
     def linearize(self, x: GridFunction) -> Linearization:
         """phi(x) with the constant derivative of the linear map: one
-        Jacobian object per model, so its normal-solve decomposition is
-        computed once."""
+        Jacobian object per model, so the factorization behind its normal
+        solves is computed once."""
         res = GridFunction(self.grid, self.spectrum * (x.values - self.solution.values))
         return Linearization(res, self._jacobian)
 

@@ -30,7 +30,7 @@ from gnflow import (
 )
 from gnflow.synthetic import DiagonalLinearModel, certified_diagonal_instance
 
-from conftest import LinearMatrixModel, identity_model
+from conftest import LinearMatrixModel, dense_oracle, identity_model, symmetrized
 
 UNIT_SCHEDULE = Exponential(1.0, 1.0)  # alpha(0) = 1
 
@@ -63,13 +63,6 @@ def random_jacobian(rng, n=None, l=None) -> JacobianMatrix:
     return JacobianMatrix(rng.uniform(-1, 1, size=(n, n)), simpson_weights(grid))
 
 
-def symmetrized(jac: JacobianMatrix) -> np.ndarray:
-    """Dense oracle of B = S J S^{-1}, S = diag(sqrt(w)), for a dense J; B
-    shares singular values with the weighted operator."""
-    s = np.sqrt(jac.quadrature.weights)
-    return (jac.matrix * s[:, None]) / s[None, :]
-
-
 def weighted_operator_norm(mat: np.ndarray, weights: np.ndarray) -> float:
     s = np.sqrt(weights)
     return float(np.linalg.norm((mat * s[:, None]) / s[None, :], ord=2))
@@ -93,32 +86,40 @@ class TestJacobianMatrix:
         for n in (15, 65):
             for alpha in (1e-3, 0.1, 1.0, 10.0):
                 jac = random_jacobian(rng, n=n, l=1.0)
-                rhs = rng.standard_normal(n)
-                d = jac.normal_solve(alpha, rhs)
+                residual, offset = rng.standard_normal((2, n))
+                d = jac.normal_solve(alpha, residual, offset)
+                rhs = -(jac.adjoint_apply(residual) + alpha * offset)
                 lhs = jac.adjoint_apply(jac.apply(d)) + alpha * d
                 assert np.linalg.norm(lhs - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
     @pytest.mark.parametrize("point", [initial_guess, true_interface])
-    def test_normal_solve_matches_dense_svd_oracle(self, point):
-        # down to the default alpha_floor, on the Jacobian of `linearize`
-        # (factored, or dense at n=201, H=1.1) against the SVD of the dense
-        # Frechet matrix, over the depths that set the interpolation rank
+    def test_normal_solve_matches_dense_oracle(self, point):
+        # The direction of a flow stage, on the Jacobian and residual of
+        # `linearize` (factored, or dense at n=201, H=1.1) with a random
+        # offset x - x0, against the filter-factor solution from the SVD of
+        # the dense Frechet matrix, down to the default alpha_floor.  The
+        # rounding of S^{-1} M^T w in the solve is about eps ||B|| ||w||
+        # with ||w|| up to ||f|| / (2 sqrt(alpha)), so the error grows like
+        # 1/sqrt(alpha); measured worst cases over this grid: 1.5e-11 at
+        # alpha = 1e-10, 1.6e-10 at 1e-12 and 5.4e-10 at 1e-13 (n = 801,
+        # H = 1.1, at x0).  The bound 2e-9 keeps a 3.7x margin.  Forming
+        # J* phi + alpha (x - x0) first and dividing its rounding by alpha
+        # misses it by up to 2.1e-4 at alpha = 1e-13.
         rng = np.random.default_rng(25)
         for node_count in (201, 801):
             for depth in (2.0, 1.5, 1.1):
                 params = GravimetryParams(node_count=node_count, depth=depth)
                 model = GravimetryModel.synthetic(params)
                 x = point(params)
-                jac = model.linearize(x).jacobian
-                s = np.sqrt(params.quadrature.weights)
-                _, sigma, vt = np.linalg.svd(symmetrized(frechet_matrix(x, params)))
+                res, jac = model.linearize(x)
+                oracle = dense_oracle(frechet_matrix(x, params))
                 for alpha in (1e-1, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-13):
                     case = (node_count, depth, alpha)
-                    rhs = rng.standard_normal(len(s))
-                    expected = (vt.T @ ((vt @ (s * rhs)) / (sigma**2 + alpha))) / s
-                    d = jac.normal_solve(alpha, rhs)
-                    assert np.linalg.norm(d - expected) <= 1e-10 * np.linalg.norm(expected), case
-                    fresh = model.linearize(x).jacobian.normal_solve(alpha, rhs)
+                    offset = rng.standard_normal(node_count)
+                    expected = oracle(alpha, res.values, offset)
+                    d = jac.normal_solve(alpha, res.values, offset)
+                    assert np.linalg.norm(d - expected) <= 2e-9 * np.linalg.norm(expected), case
+                    fresh = model.linearize(x).jacobian.normal_solve(alpha, res.values, offset)
                     assert np.array_equal(d, fresh), case
 
     @pytest.mark.parametrize("case", ["factored", "dense", "diagonal"])
@@ -145,10 +146,11 @@ class TestJacobianMatrix:
         assert (jac.left is not None) == (case == "factored")
         rng = np.random.default_rng(71)
         for alpha in (1e-1, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-13):
-            rhs = rng.standard_normal(model.grid.node_count)
+            residual, offset = rng.standard_normal((2, model.grid.node_count))
             other = fresh()
             assert other is not jac
-            assert np.array_equal(jac.normal_solve(alpha, rhs), other.normal_solve(alpha, rhs))
+            d = jac.normal_solve(alpha, residual, offset)
+            assert np.array_equal(d, other.normal_solve(alpha, residual, offset))
         assert jac.decomposition is jac.decomposition
 
     def test_non_finite_rejected(self):
@@ -228,14 +230,16 @@ class TestVelocity:
             assert np.sum(w * d.values * (target - x.values)) > 0
 
     def test_linear_solve_residual_on_benchmark(self, benchmark_model):
-        x0 = initial_guess(benchmark_model.params)
-        d = velocity(benchmark_model, Exponential(0.1, 3.5), 0.0, x0, x0)
-        jac = benchmark_model.jacobian(x0)
-        res = benchmark_model.residual(x0)
+        # at x0 the offset x - x0 is zero; at the reference interface it is not
+        p = benchmark_model.params
+        x0 = initial_guess(p)
         alpha = 0.1
-        rhs = -(jac.adjoint_apply(res.values) + 0.0)
-        lhs = jac.adjoint_apply(jac.apply(d.values)) + alpha * d.values
-        assert np.linalg.norm(lhs - rhs) <= 1e-10 * np.linalg.norm(rhs)
+        for x in (x0, true_interface(p)):
+            d = velocity(benchmark_model, Exponential(alpha, 3.5), 0.0, x, x0)
+            res, jac = benchmark_model.linearize(x)
+            rhs = -(jac.adjoint_apply(res.values) + alpha * (x.values - x0.values))
+            lhs = jac.adjoint_apply(jac.apply(d.values)) + alpha * d.values
+            assert np.linalg.norm(lhs - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
 
 class TestSteppers:
@@ -598,8 +602,8 @@ class TestRunFlow:
         assert np.array_equal(report.final_x.values, x.values)
 
     def test_certified_midpoint_run_factors_once(self, monkeypatch):
-        # the diagonal model's Jacobian is one object per model, so its
-        # normal-solve decomposition is computed once for all 2k solves
+        # the diagonal model's Jacobian is one object per model, so the one
+        # QR and one SVD behind its solves are computed once for all 2k solves
         svd = np.linalg.svd
         calls = []
 
