@@ -22,7 +22,8 @@ from typing import Literal, NamedTuple, Optional
 import numpy as np
 
 from .errors import DomainError, GridMismatchError, NonFiniteValueError, NumericalError
-from .grids import Grid, GridFunction, QuadratureWeights, l2_norm, l2_norm_values
+from .grids import Grid, GridFunction, QuadratureWeights, _finite, l2_norm_values
+from .grids import l2_norm  # unused here: perfbench's traced run wraps flow.l2_norm
 from .schedules import Schedule, validate_rate_function
 
 @dataclass(frozen=True)
@@ -137,19 +138,19 @@ class JacobianMatrix:
 
 
 class Linearization(NamedTuple):
-    """phi(x) and phi'(x) at one point."""
+    """phi(x), as nodal values on the model grid, and phi'(x) at one point."""
 
-    residual: GridFunction
+    residual: np.ndarray
     jacobian: JacobianMatrix
 
 
 class OperatorModel(ABC):
     """Nonlinear problem phi(x) = 0 posed on one shared grid.
 
-    A model answers one operator call, `linearize`, which returns phi(x) and
-    its Frechet derivative together: directional finite differences of the
-    residual agree with the Jacobian action to first order at every
-    admissible point.
+    A model answers one operator call, `linearize`, which maps nodal values
+    to phi(x) and its Frechet derivative together: directional finite
+    differences of the residual agree with the Jacobian action to first
+    order at every admissible point.  `residual` and `jacobian` wrap it.
     """
 
     @property
@@ -161,18 +162,31 @@ class OperatorModel(ABC):
     def quadrature(self) -> QuadratureWeights: ...
 
     @abstractmethod
-    def linearize(self, x: GridFunction) -> Linearization:
-        """phi(x), in the data space, and phi'(x), dense or factored, with
-        the weighted adjoint attached.  Raises DomainError when x is
-        inadmissible."""
+    def linearize(self, x: np.ndarray) -> Linearization:
+        """phi(x) and phi'(x), dense or factored, with the weighted adjoint, at
+        nodal values x on the model grid.  Raises DomainError when x is inadmissible."""
 
     def residual(self, x: GridFunction) -> GridFunction:
-        """phi(x) alone, from `linearize`."""
-        return self.linearize(x).residual
+        """phi(x) alone, from `linearize`; GridMismatchError off the model grid."""
+        return GridFunction(self.grid, _linearize_on_grid(self, "x", x).residual)
 
     def jacobian(self, x: GridFunction) -> JacobianMatrix:
-        """phi'(x) alone, from `linearize`."""
-        return self.linearize(x).jacobian
+        """phi'(x) alone, from `linearize`; GridMismatchError off the model grid."""
+        return _linearize_on_grid(self, "x", x).jacobian
+
+
+def _linearize(model: OperatorModel, x: np.ndarray) -> Linearization:
+    """The linearization at nodal values x, checking x and then phi(x) finite."""
+    lin = model.linearize(_finite(x))
+    _finite(lin.residual)
+    return lin
+
+
+def _linearize_on_grid(model: OperatorModel, names: str, *points: GridFunction) -> Linearization:
+    """The linearization at the first point, after checking every point's grid."""
+    if any(p.grid != model.grid for p in points):
+        raise GridMismatchError(f"{names} must live on the model grid")
+    return _linearize(model, points[0].values)
 
 
 class StopRule(ABC):
@@ -337,48 +351,29 @@ class RunReport:
         return self.stop_reason.startswith("diverged")
 
 
-def _direction(
-    alpha: float, x: np.ndarray, x0: np.ndarray, lin: Linearization
-) -> np.ndarray:
-    """The stage direction d at nodal values x: (J* J + alpha I) d =
-    -(J* phi(x) + alpha (x - x0)), from the linearization at x."""
-    return lin.jacobian.normal_solve(alpha, lin.residual.values, x - x0)
-
-
 def _step(
     model: OperatorModel,
     schedule: Schedule,
     t_k: float,
     alpha_k: float,
-    x_k: GridFunction,
-    x0: GridFunction,
+    x_k: np.ndarray,
+    x0: np.ndarray,
     tau: float,
     lin: Linearization,
     midpoint: bool,
-) -> GridFunction:
-    """x_{k+1} from alpha(t_k) and the linearization at x_k: an Euler step
-    along the direction at x_k or, for the midpoint rule, a step along the
-    direction at the half-step point x_k + (tau/2) d, linearized here."""
-    d = _direction(alpha_k, x_k.values, x0.values, lin)
+) -> np.ndarray:
+    """x_{k+1} from alpha(t_k) and the linearization at x_k, as nodal values:
+    a step along d, (J* J + alpha I) d = -(J* phi + alpha (x - x0)), at x_k
+    or, for the midpoint rule, at x_half = x_k + (tau/2) d, linearized here."""
+    d = lin.jacobian.normal_solve(alpha_k, lin.residual, x_k - x0)
     if midpoint:
-        x_half = GridFunction(model.grid, x_k.values + 0.5 * tau * d)
+        x_half = x_k + 0.5 * tau * d
         try:
-            lin = model.linearize(x_half)
+            lin = _linearize(model, x_half)
         except DomainError as exc:
             raise DomainError(f"half-step point inadmissible: {exc}") from exc
-        d = _direction(schedule.alpha(t_k + 0.5 * tau), x_half.values, x0.values, lin)
-    return GridFunction(model.grid, x_k.values + tau * d)
-
-
-def _stage_inputs(
-    model: OperatorModel, schedule: Schedule, t: float, x: GridFunction, x0: GridFunction
-) -> tuple[float, Linearization]:
-    """Check that x and x0 live on the model grid, then return alpha(t) and
-    the linearization at x (which raises DomainError for an inadmissible x)."""
-    if x.grid != model.grid or x0.grid != model.grid:
-        raise GridMismatchError("x and x0 must live on the model grid")
-    lin = model.linearize(x)
-    return schedule.alpha(t), lin
+        d = lin.jacobian.normal_solve(schedule.alpha(t_k + 0.5 * tau), lin.residual, x_half - x0)
+    return x_k + tau * d
 
 
 def velocity(
@@ -394,10 +389,11 @@ def velocity(
     weighted adjoint J*; the system matrix is symmetric positive definite in
     the weighted inner product.  Checks that x and x0 live on the model grid,
     linearizes x (raising DomainError when it is inadmissible) and computes
-    d with the stage routine `run_flow` uses.
+    d with the normal solve `run_flow` uses.
     """
-    alpha, lin = _stage_inputs(model, schedule, t, x, x0)
-    return GridFunction(model.grid, _direction(alpha, x.values, x0.values, lin))
+    lin = _linearize_on_grid(model, "x and x0", x, x0)
+    d = lin.jacobian.normal_solve(schedule.alpha(t), lin.residual, x.values - x0.values)
+    return GridFunction(model.grid, d)
 
 
 def euler_step(
@@ -411,8 +407,9 @@ def euler_step(
     """x_{k+1} = x_k + tau * F(t_k, x_k); with tau = 1 this is one damped
     Gauss-Newton iteration with regularization alpha(t_k).  Validates x_k
     and x0 as `velocity` does and shares its step routine with `run_flow`."""
-    alpha, lin = _stage_inputs(model, schedule, t_k, x_k, x0)
-    return _step(model, schedule, t_k, alpha, x_k, x0, tau, lin, midpoint=False)
+    lin = _linearize_on_grid(model, "x and x0", x_k, x0)
+    x = _step(model, schedule, t_k, schedule.alpha(t_k), x_k.values, x0.values, tau, lin, False)
+    return GridFunction(model.grid, x)
 
 
 def rk_midpoint_step(
@@ -428,8 +425,9 @@ def rk_midpoint_step(
     Validates x_k and x0 as `velocity` does, raises DomainError for an
     inadmissible half-step point, and shares its step routine with
     `run_flow`."""
-    alpha, lin = _stage_inputs(model, schedule, t_k, x_k, x0)
-    return _step(model, schedule, t_k, alpha, x_k, x0, tau, lin, midpoint=True)
+    lin = _linearize_on_grid(model, "x and x0", x_k, x0)
+    x = _step(model, schedule, t_k, schedule.alpha(t_k), x_k.values, x0.values, tau, lin, True)
+    return GridFunction(model.grid, x)
 
 
 def run_flow(
@@ -441,41 +439,37 @@ def run_flow(
 ) -> RunReport:
     """Integrate the flow from x(0) = x0 and report the selected iterate.
 
-    Each iterate is linearized once: its residual gives the discrepancy
-    sigma_k = ||phi(x_k)||_L2, which drives the stop rule, and the pair is
-    handed to the step for the next direction.  alpha(t_k) is evaluated
-    once per time point and serves the stop rule, the step and the record;
-    the linearization of each new point is its one admissibility check.  Under
-    FirstDiscrepancyIncrease the iterate with minimal discrepancy is
-    returned and steps_taken is its index.  The trajectory keeps every
-    `record_every`-th iterate and the last accepted one.
+    The loop carries nodal arrays; only the reported iterate becomes a
+    GridFunction.  Each iterate is linearized once: its residual gives the
+    discrepancy sigma_k = ||phi(x_k)||_L2, which drives the stop rule, and
+    the pair is handed to the step for the next direction.  alpha(t_k) is
+    evaluated once per time point and serves the stop rule, the step and the
+    record; the linearization of each point is its one admissibility and
+    finiteness check.  Under FirstDiscrepancyIncrease the iterate with
+    minimal discrepancy is returned and steps_taken is its index.  The
+    trajectory keeps every `record_every`-th iterate and the last accepted one.
     Non-finite iterates or domain violations end the run in-band: the report
     carries the last good state and diverged=True.
     """
     validate_rate_function(schedule)
-    if x0.grid != model.grid:
-        raise GridMismatchError("x0 must live on the model grid")
     if reference is not None and reference.grid != model.grid:
         raise GridMismatchError("reference must live on the model grid")
     try:
-        lin = model.linearize(x0)
+        lin = _linearize_on_grid(model, "x0", x0)
     except DomainError as exc:
         raise DomainError(f"initial point inadmissible: {exc}") from exc
 
     midpoint = config.stepper == "rk"
     rule = config.stop_rule
     tau = config.tau
-    quad = model.quadrature
+    weights = model.quadrature.weights
 
-    def reference_errors(x: GridFunction) -> tuple[float, float]:
+    def reference_errors(x: np.ndarray) -> tuple[float, float]:
         """Sup and L2 norms of x - reference."""
-        diff = x.values - reference.values
-        err_sup = float(np.max(np.abs(diff)))
-        if not math.isfinite(err_sup):
-            raise NonFiniteValueError("grid function contains NaN or infinite values")
-        return err_sup, l2_norm_values(diff, quad.weights)
+        diff = _finite(x - reference.values)
+        return float(np.max(np.abs(diff))), l2_norm_values(diff, weights)
 
-    def point(k: int, x: GridFunction, sigma: float, alpha_k: float) -> TrajectoryPoint:
+    def point(k: int, x: np.ndarray, sigma: float, alpha_k: float) -> TrajectoryPoint:
         w = err_sup = None
         if reference is not None:
             err_sup, err = reference_errors(x)
@@ -483,8 +477,8 @@ def run_flow(
             w = err / alpha_k if alpha_k > 0 else (0.0 if err == 0 else math.inf)
         return TrajectoryPoint(k, k * tau, alpha_k, sigma, w, err_sup)
 
-    x = x0
-    sigma = l2_norm(lin.residual, quad)
+    x = x0.values
+    sigma = l2_norm_values(lin.residual, weights)
     alpha = schedule.alpha(0.0)
     trajectory = [point(0, x, sigma, alpha)]
 
@@ -500,10 +494,10 @@ def run_flow(
         if stop_reason is not None:
             break
         try:
-            x_next = _step(model, schedule, k * tau, alpha, x, x0, tau, lin, midpoint)
+            x_next = _step(model, schedule, k * tau, alpha, x, x0.values, tau, lin, midpoint)
             lin = None  # release J_k before assembling J_{k+1}
-            lin = model.linearize(x_next)
-            sigma_next = l2_norm(lin.residual, quad)
+            lin = _linearize(model, x_next)
+            sigma_next = l2_norm_values(lin.residual, weights)
         except (DomainError, NumericalError, NonFiniteValueError) as exc:
             stop_reason = f"diverged: {exc}"
             break
@@ -531,7 +525,7 @@ def run_flow(
         err_sup, err_l2 = reference_errors(x)
     return RunReport(
         steps_taken=steps,
-        final_x=x,
+        final_x=GridFunction(model.grid, x),
         discrepancy=sigma,
         error_sup=err_sup,
         error_l2=err_l2,

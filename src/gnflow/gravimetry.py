@@ -155,14 +155,12 @@ class GravimetryParams:
         return None
 
 
-def _heights(x: GridFunction, p: GravimetryParams) -> np.ndarray:
-    """h_j = H - x_j, after checking that x is admissible on the model grid."""
-    if x.grid != p.grid:
-        raise DomainError("interface profile is not sampled on the model grid")
-    reason = p.admissibility_violation(x.values)
+def _heights(x: np.ndarray, p: GravimetryParams) -> np.ndarray:
+    """h_j = H - x_j, after checking that the nodal values x are admissible."""
+    reason = p.admissibility_violation(x)
     if reason is not None:
         raise DomainError(reason)
-    return p.depth - x.values
+    return p.depth - x
 
 
 def _anomaly(d2: np.ndarray, den: np.ndarray, p: GravimetryParams) -> np.ndarray:
@@ -221,7 +219,9 @@ def _interpolates(
 def forward(x: GridFunction, p: GravimetryParams) -> GridFunction:
     """Gravity anomaly produced by the interface x, by Simpson quadrature on
     the dense n x n kernel (assembled here and dropped on return)."""
-    h = _heights(x, p)
+    if x.grid != p.grid:
+        raise DomainError("interface profile is not sampled on the model grid")
+    h = _heights(x.values, p)
     d2 = _squared_distances(p.grid.nodes, p.grid.nodes)
     return GridFunction(p.grid, _anomaly(d2, d2 + h**2, p))
 
@@ -234,7 +234,9 @@ def frechet_matrix(x: GridFunction, p: GravimetryParams) -> JacobianMatrix:
     Entries are finite and positive whenever x < H.  Dense (n x n): the
     exact matrix that `GravimetryModel.linearize` factors.
     """
-    h = _heights(x, p)
+    if x.grid != p.grid:
+        raise DomainError("interface profile is not sampled on the model grid")
+    h = _heights(x.values, p)
     d2 = _squared_distances(p.grid.nodes, p.grid.nodes)
     return JacobianMatrix(_frechet_entries(d2 + h**2, h, p), p.quadrature)
 
@@ -283,14 +285,14 @@ class GravimetryModel(OperatorModel):
     def quadrature(self) -> QuadratureWeights:
         return self.params.quadrature
 
-    def linearize(self, x: GridFunction) -> Linearization:
+    def linearize(self, x: np.ndarray) -> Linearization:
         """phi(x) and the factored phi'(x) = P C from the kernel at m
         Chebyshev rows: the anomaly g_c and C are evaluated there, and the
         residual is P g_c - y.  m is the smallest ladder rung at or above the
         a-priori estimate whose interpolation passes the check rows, going up
         one rung on failure; once 2m > n the kernel is assembled densely and
-        the left factor is the identity.  Raises DomainError for an x off the
-        model grid or above the admissible ceiling."""
+        the left factor is the identity.  Raises DomainError for an x above
+        the admissible ceiling."""
         p = self.params
         h = _heights(x, p)
         for m in _rungs(_rank_estimate(h, p)):
@@ -301,8 +303,6 @@ class GravimetryModel(OperatorModel):
             if _interpolates(rows, g, c, h, p):
                 res = rows.left.matrix @ g
                 res -= self.data.values
-                jac = JacobianMatrix(c, p.quadrature, rows.left)
-                return Linearization(GridFunction(self.grid, res), jac)
+                return Linearization(res, JacobianMatrix(c, p.quadrature, rows.left))
         g, j = _kernels(p.squared_distances, h, p)
-        jac = JacobianMatrix(j, p.quadrature)
-        return Linearization(GridFunction(self.grid, g - self.data.values), jac)
+        return Linearization(g - self.data.values, JacobianMatrix(j, p.quadrature))

@@ -49,6 +49,13 @@ class Grid:
         return pts
 
 
+def _finite(values: np.ndarray) -> np.ndarray:
+    """values, after checking that every entry is finite."""
+    if not np.isfinite(values).all():
+        raise NonFiniteValueError("grid function contains NaN or infinite values")
+    return values
+
+
 @dataclass(frozen=True)
 class GridFunction:
     """Real-valued function sampled at the nodes of a grid.
@@ -67,8 +74,7 @@ class GridFunction:
                 f"values shape {vals.shape} does not match grid with "
                 f"{self.grid.node_count} nodes"
             )
-        if not np.isfinite(vals).all():
-            raise NonFiniteValueError("grid function contains NaN or infinite values")
+        _finite(vals)
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 

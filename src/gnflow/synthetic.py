@@ -54,12 +54,11 @@ class DiagonalLinearModel(OperatorModel):
     def _jacobian(self) -> JacobianMatrix:
         return JacobianMatrix(np.diag(self.spectrum), self.quadrature)
 
-    def linearize(self, x: GridFunction) -> Linearization:
+    def linearize(self, x: np.ndarray) -> Linearization:
         """phi(x) with the constant derivative of the linear map: one
         Jacobian object per model, so the factorization behind its normal
         solves is computed once."""
-        res = GridFunction(self.grid, self.spectrum * (x.values - self.solution.values))
-        return Linearization(res, self._jacobian)
+        return Linearization(self.spectrum * (x - self.solution.values), self._jacobian)
 
 
 @dataclass(frozen=True)

@@ -34,9 +34,8 @@ class LinearMatrixModel(OperatorModel):
     def quadrature(self):
         return self._quad
 
-    def linearize(self, x: GridFunction) -> Linearization:
-        res = GridFunction(self._grid, self.matrix @ x.values - self.rhs)
-        return Linearization(res, JacobianMatrix(self.matrix, self._quad))
+    def linearize(self, x: np.ndarray) -> Linearization:
+        return Linearization(self.matrix @ x - self.rhs, JacobianMatrix(self.matrix, self._quad))
 
 
 def identity_model(grid: Grid) -> LinearMatrixModel:
@@ -89,10 +88,10 @@ class DenseGravimetryModel(OperatorModel):
     def quadrature(self):
         return self.params.quadrature
 
-    def linearize(self, x: GridFunction) -> Linearization:
+    def linearize(self, x: np.ndarray) -> Linearization:
         p = self.params
-        res = GridFunction(p.grid, forward(x, p).values - self.data.values)
-        return Linearization(res, frechet_matrix(x, p))
+        point = GridFunction(p.grid, x)
+        return Linearization(forward(point, p).values - self.data.values, frechet_matrix(point, p))
 
 
 @pytest.fixture(scope="session")

@@ -16,6 +16,7 @@ from gnflow import (
     GridMismatchError,
     InversePower,
     JacobianMatrix,
+    NonFiniteValueError,
     OperatorModel,
     SolverConfig,
     euler_step,
@@ -54,6 +55,33 @@ class CountingModel(OperatorModel):
     def linearize(self, x):
         self.linearizations += 1
         return self.inner.linearize(x)
+
+
+class BreakingModel(LinearMatrixModel):
+    """phi(x) = A x - b for its first `finite_calls` linearizations; from
+    then on b is infinite, so every residual is."""
+
+    def __init__(self, grid: Grid, matrix: np.ndarray, rhs: np.ndarray, finite_calls: int):
+        super().__init__(grid, matrix, rhs)
+        self.finite_calls = finite_calls
+
+    def linearize(self, x):
+        if self.finite_calls == 0:
+            self.rhs = np.full_like(self.rhs, np.inf)
+        self.finite_calls -= 1
+        return super().linearize(x)
+
+
+def contract_models() -> list[OperatorModel]:
+    """The three kinds of model, each on Grid(1.0, 21)."""
+    grid = Grid(1.0, 21)
+    rng = np.random.default_rng(34)
+    solution = GridFunction(grid, np.linspace(0.0, 1.0, 21))
+    return [
+        GravimetryModel.synthetic(GravimetryParams(node_count=21)),
+        DiagonalLinearModel(solution, np.linspace(1.0, 0.1, 21)),
+        LinearMatrixModel(grid, rng.standard_normal((21, 21)), rng.standard_normal(21)),
+    ]
 
 
 def random_jacobian(rng, n=None, l=None) -> JacobianMatrix:
@@ -111,15 +139,15 @@ class TestJacobianMatrix:
                 params = GravimetryParams(node_count=node_count, depth=depth)
                 model = GravimetryModel.synthetic(params)
                 x = point(params)
-                res, jac = model.linearize(x)
+                res, jac = model.linearize(x.values)
                 oracle = dense_oracle(frechet_matrix(x, params))
                 for alpha in (1e-1, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-13):
                     case = (node_count, depth, alpha)
                     offset = rng.standard_normal(node_count)
-                    expected = oracle(alpha, res.values, offset)
-                    d = jac.normal_solve(alpha, res.values, offset)
+                    expected = oracle(alpha, res, offset)
+                    d = jac.normal_solve(alpha, res, offset)
                     assert np.linalg.norm(d - expected) <= 2e-9 * np.linalg.norm(expected), case
-                    fresh = model.linearize(x).jacobian.normal_solve(alpha, res.values, offset)
+                    fresh = model.linearize(x.values).jacobian.normal_solve(alpha, res, offset)
                     assert np.array_equal(d, fresh), case
 
     @pytest.mark.parametrize("case", ["factored", "dense", "diagonal"])
@@ -140,9 +168,9 @@ class TestJacobianMatrix:
             x = initial_guess(params)
 
             def fresh():
-                return model.linearize(x).jacobian
+                return model.linearize(x.values).jacobian
 
-        jac = model.linearize(x).jacobian
+        jac = model.linearize(x.values).jacobian
         assert (jac.left is not None) == (case == "factored")
         rng = np.random.default_rng(71)
         for alpha in (1e-1, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-13):
@@ -195,6 +223,23 @@ def test_model_contract_is_linearize():
     assert np.array_equal(model.jacobian(x).matrix, np.eye(5))
     d = velocity(model, UNIT_SCHEDULE, 0.0, x, x)
     np.testing.assert_allclose(d.values, -x.values / 2, rtol=1e-13)
+    # linearize maps nodal values to a nodal residual array, and residual
+    # wraps that array bit for bit
+    for model in contract_models():
+        x = GridFunction(model.grid, 0.5 + 0.25 * np.cos(np.pi * model.grid.nodes))
+        res = model.linearize(x.values).residual
+        assert type(res) is np.ndarray, model
+        assert np.array_equal(res, model.residual(x).values), model
+
+
+def test_boundary_rejects_point_off_model_grid():
+    # same node count, other half width: residual and jacobian raise the
+    # GridMismatchError that velocity and run_flow raise
+    foreign = GridFunction.constant(Grid(2.0, 21), 0.5)
+    for model in contract_models():
+        for call in (model.residual, model.jacobian):
+            with pytest.raises(GridMismatchError):
+                call(foreign)
 
 
 class TestVelocity:
@@ -236,8 +281,8 @@ class TestVelocity:
         alpha = 0.1
         for x in (x0, true_interface(p)):
             d = velocity(benchmark_model, Exponential(alpha, 3.5), 0.0, x, x0)
-            res, jac = benchmark_model.linearize(x)
-            rhs = -(jac.adjoint_apply(res.values) + alpha * (x.values - x0.values))
+            res, jac = benchmark_model.linearize(x.values)
+            rhs = -(jac.adjoint_apply(res) + alpha * (x.values - x0.values))
             lhs = jac.adjoint_apply(jac.apply(d.values)) + alpha * d.values
             assert np.linalg.norm(lhs - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
@@ -573,6 +618,36 @@ class TestRunFlow:
         assert reason.endswith(" exceeds admissible ceiling depth - epsilon = 1.999")
         assert report.stop_reason == prefix + reason
 
+    def test_non_finite_residual_at_x0_raises(self):
+        # the path behind the CLI's exit 1 for a non-finite linearization
+        grid = Grid(1.0, 5)
+        model = LinearMatrixModel(grid, np.eye(5), np.array([0.0, 0.0, np.inf, 0.0, 0.0]))
+        with pytest.raises(NonFiniteValueError, match="^grid function contains NaN or infinite"):
+            run_flow(model, UNIT_SCHEDULE, GridFunction.constant(grid, 1.0), SolverConfig())
+
+    @pytest.mark.parametrize("stepper", ["euler", "rk"])
+    def test_non_finite_residual_ends_run_in_band(self, stepper):
+        # the fourth linearization is infinite: x_3 for Euler, the second
+        # half-step point for the midpoint rule; the report keeps the last
+        # finite iterate, x_2 or x_1
+        rng = np.random.default_rng(37)
+        a = rng.standard_normal((7, 7)) + 7 * np.eye(7)
+        b = rng.standard_normal(7)
+        grid = Grid(1.0, 7)
+        model = BreakingModel(grid, a, b, finite_calls=3)
+        x0, tau = GridFunction.constant(grid, 0.0), 0.1
+        config = SolverConfig(stepper=stepper, tau=tau, max_steps=10, stop_rule=FixedSteps(10))
+        report = run_flow(model, UNIT_SCHEDULE, x0, config)
+        assert report.stop_reason == "diverged: grid function contains NaN or infinite values"
+        last = 2 if stepper == "euler" else 1
+        assert report.steps_taken == last and report.trajectory[-1].step == last
+        step = euler_step if stepper == "euler" else rk_midpoint_step
+        x = x0
+        for i in range(last):
+            x = step(LinearMatrixModel(grid, a, b), UNIT_SCHEDULE, i * tau, x, x0, tau)
+        assert np.array_equal(report.final_x.values, x.values)
+        assert np.isfinite(report.discrepancy)
+
     @pytest.mark.parametrize("stepper", ["euler", "rk"])
     @pytest.mark.parametrize("problem", ["gravimetry", "diagonal", "matrix"])
     def test_run_flow_matches_manual_steps(self, stepper, problem):
@@ -600,6 +675,32 @@ class TestRunFlow:
         for i in range(k):
             x = step(model, schedule, i * tau, x, x0, tau)
         assert np.array_equal(report.final_x.values, x.values)
+
+    @pytest.mark.parametrize("problem", ["certified-10", "certified-100", "gravimetry"])
+    def test_one_grid_function_per_run(self, monkeypatch, benchmark_model, problem):
+        # the loop carries nodal arrays; only the reported iterate is wrapped
+        if problem == "gravimetry":
+            p = benchmark_model.params
+            model, schedule = benchmark_model, Exponential(0.1, 3.5)
+            x0, reference = initial_guess(p), true_interface(p)
+            config = SolverConfig(stepper="euler", tau=0.1, max_steps=500)
+        else:
+            inst = certified_diagonal_instance()
+            model, schedule, x0, reference = inst.model, inst.schedule, inst.x0, inst.solution
+            k = int(problem.split("-")[1])
+            config = SolverConfig(stepper="rk", tau=0.1, max_steps=k, stop_rule=FixedSteps(k))
+        post_init = GridFunction.__post_init__
+        built = []
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(GridFunction, "__post_init__", counted)
+        report = run_flow(model, schedule, x0, config, reference=reference)
+        assert not report.diverged and report.trajectory[-1].step >= 10
+        assert len(built) == 1, len(built)
+        assert built[0] is report.final_x
 
     def test_certified_midpoint_run_factors_once(self, monkeypatch):
         # the diagonal model's Jacobian is one object per model, so the one
