@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from .certificate import CertificateInputs, build_certificate
 from .errors import NumericalError, ScheduleError
-from .flow import SolverConfig, parse_stop_rule, run_flow
+from .flow import STEPPERS, SolverConfig, parse_stop_rule, run_flow
 from .gravimetry import GravimetryParams
 from .harness import (
     RunSummary,
@@ -54,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument(
         "--tau", type=float, default=config.tau, help="time step (default %(default)s)"
     )
-    solve.add_argument("--stepper", choices=("euler", "rk"), default=config.stepper)
+    solve.add_argument("--stepper", choices=STEPPERS, default=config.stepper)
     solve.add_argument("--max-steps", type=int, default=config.max_steps)
     stop_help = "fixed:N | floor:tol | increase:patience (default %(default)s)"
     solve.add_argument("--stop", default=config.stop_rule.describe(), help=stop_help)
@@ -103,7 +103,6 @@ def _fail(message: str, code: int) -> int:
 def _cmd_solve(args) -> int:
     try:
         schedule = parse_schedule(args.schedule)
-        validate_rate_function(schedule)
         stop_rule = parse_stop_rule(args.stop)
         params = GravimetryParams(
             half_width=args.l,

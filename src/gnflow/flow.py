@@ -17,14 +17,14 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Literal, NamedTuple, Optional
+from typing import Literal, NamedTuple, Optional, get_args
 
 import numpy as np
 
 from .errors import DomainError, GridMismatchError, NonFiniteValueError, NumericalError
 from .grids import Grid, GridFunction, QuadratureWeights, _finite, l2_norm_values
 from .grids import l2_norm  # unused here: perfbench's traced run wraps flow.l2_norm
-from .schedules import Schedule, validate_rate_function
+from .schedules import Schedule
 
 @dataclass(frozen=True)
 class LeftFactor:
@@ -192,14 +192,11 @@ def _linearize_on_grid(model: OperatorModel, names: str, *points: GridFunction) 
 class StopRule(ABC):
     """When `run_flow` stops.  At each accepted iterate k >= 0 the run asks
     `stop_reason`, then stops at `max_steps`, then asks `alpha_stop` with
-    alpha(t_k) before stepping on from x_k."""
+    alpha(t_k) before stepping on from x_k.  A rule checks its parameters
+    when it is built and raises ValueError for a bad one."""
 
     # report the iterate of minimal discrepancy rather than the last one
     reports_best = False
-
-    @abstractmethod
-    def validate(self) -> None:
-        """Raise ValueError for a bad rule parameter."""
 
     @abstractmethod
     def describe(self) -> str:
@@ -220,7 +217,7 @@ class FixedSteps(StopRule):
 
     count: int
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.count < 0:
             raise ValueError("fixed step count must be nonnegative")
 
@@ -237,7 +234,7 @@ class DiscrepancyFloor(StopRule):
 
     tol: float
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not self.tol >= 0:
             raise ValueError("discrepancy floor must be nonnegative")
 
@@ -263,9 +260,11 @@ class FirstDiscrepancyIncrease(StopRule):
 
     reports_best = True
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
+        if not self.alpha_floor >= 0:
+            raise ValueError("alpha floor must be nonnegative")
 
     def describe(self) -> str:
         return f"increase:{self.patience}"
@@ -277,24 +276,30 @@ class FirstDiscrepancyIncrease(StopRule):
         return "alpha_floor" if alpha < self.alpha_floor else None
 
 
+# the rule of each descriptor head, with the type of its one parameter
+_STOP_RULES = {
+    "fixed": (FixedSteps, int), "floor": (DiscrepancyFloor, float),
+    "increase": (FirstDiscrepancyIncrease, int),
+}
+
+
 def parse_stop_rule(text: str) -> StopRule:
     """Parse ``fixed:N``, ``floor:tol`` or ``increase:patience``."""
     head, sep, tail = text.strip().lower().partition(":")
+    if not sep or head not in _STOP_RULES:
+        raise ValueError(
+            f"unknown stop rule {text!r}; expected fixed:N, floor:tol or increase:patience"
+        )
+    rule, kind = _STOP_RULES[head]
     try:
-        if head == "fixed" and sep:
-            return FixedSteps(int(tail))
-        if head == "floor" and sep:
-            return DiscrepancyFloor(float(tail))
-        if head == "increase" and sep:
-            return FirstDiscrepancyIncrease(int(tail))
+        value = kind(tail)
     except ValueError as exc:
         raise ValueError(f"bad stop-rule parameter in {text!r}: {exc}") from exc
-    raise ValueError(
-        f"unknown stop rule {text!r}; expected fixed:N, floor:tol or increase:patience"
-    )
+    return rule(value)
 
 
 StepperName = Literal["euler", "rk"]
+STEPPERS = get_args(StepperName)
 
 
 @dataclass(frozen=True)
@@ -306,7 +311,7 @@ class SolverConfig:
     record_every: int = 1
 
     def __post_init__(self):
-        if self.stepper not in ("euler", "rk"):
+        if self.stepper not in STEPPERS:
             raise ValueError(f"unknown stepper {self.stepper!r}")
         if not 0 < self.tau < math.inf:
             raise ValueError(f"tau must be positive and finite, got {self.tau}")
@@ -316,7 +321,6 @@ class SolverConfig:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")
         if not isinstance(self.stop_rule, StopRule):
             raise ValueError(f"unknown stop rule {self.stop_rule!r}")
-        self.stop_rule.validate()
 
 
 @dataclass(frozen=True)
@@ -451,7 +455,6 @@ def run_flow(
     Non-finite iterates or domain violations end the run in-band: the report
     carries the last good state and diverged=True.
     """
-    validate_rate_function(schedule)
     if reference is not None and reference.grid != model.grid:
         raise GridMismatchError("reference must live on the model grid")
     try:

@@ -17,6 +17,7 @@ import numpy as np
 
 from .certificate import Certificate, bound_curve
 from .flow import (
+    STEPPERS,
     FirstDiscrepancyIncrease,
     OperatorModel,
     RunReport,
@@ -28,7 +29,7 @@ from .flow import (
 )
 from .grids import GridFunction
 from .gravimetry import GravimetryModel, GravimetryParams, initial_guess, true_interface
-from .schedules import Schedule, parse_schedule, validate_rate_function
+from .schedules import Schedule, parse_schedule
 from .synthetic import certified_diagonal_instance
 
 SYNTHETIC_PROBLEMS = ("certified-diagonal",)
@@ -41,7 +42,7 @@ class ExperimentSpec:
     problem: Union[GravimetryParams, str] = field(default_factory=GravimetryParams)
     schedules: Sequence[Schedule] = ()
     tau_values: Sequence[float] = ()
-    steppers: Sequence[str] = ("euler", "rk")
+    steppers: Sequence[str] = STEPPERS
     stop_rule: StopRule = FirstDiscrepancyIncrease()
     max_steps: int = 500
     record_every: int = 1
@@ -52,8 +53,6 @@ class ExperimentSpec:
             raise ValueError("spec needs at least one schedule")
         if not self.tau_values:
             raise ValueError("spec needs at least one tau value")
-        for schedule in self.schedules:
-            validate_rate_function(schedule)
         if not self.steppers:
             raise ValueError("spec needs at least one stepper")
         if len(set(self.steppers)) != len(self.steppers):
@@ -163,7 +162,7 @@ def write_table_rows(rows: Sequence[TableRow], fh) -> None:
     writer.writerow(TABLE_HEADER)
     for r in rows:
         cells = [r.schedule, _cell(r.tau)]
-        for stepper in ("euler", "rk"):  # the column order of TABLE_HEADER
+        for stepper in STEPPERS:  # the column order of TABLE_HEADER
             cells += summary_cells(r.runs.get(stepper))
         writer.writerow(cells)
 

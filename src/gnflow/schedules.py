@@ -26,7 +26,14 @@ def _check_time(t: float) -> float:
 
 
 class Schedule(ABC):
-    """Regularization function alpha(t) on t >= 0, with its log-derivative."""
+    """Regularization function alpha(t) on t >= 0, with its log-derivative.
+
+    A subclass checks its parameters when it is built and raises
+    ScheduleError unless alpha(0) is positive and finite, alpha decreases to
+    zero and its log-derivative is nondecreasing (strictly if `strict`), so
+    code that takes a schedule does not check it again."""
+
+    strict = False
 
     @abstractmethod
     def alpha(self, t: float) -> float:
@@ -41,6 +48,11 @@ class Schedule(ABC):
         """Canonical parsable descriptor, e.g. ``exp:alpha0=0.1,beta=3.5``."""
 
 
+def _require_positive(value: float, name: str, why: str = "") -> None:
+    if not 0.0 < value < math.inf:
+        raise ScheduleError(f"{name} must be positive and finite{why}, got {value}")
+
+
 @dataclass(frozen=True)
 class InversePower(Schedule):
     """alpha(t) = alpha0 / (a + t)**m."""
@@ -49,12 +61,22 @@ class InversePower(Schedule):
     a: float = 1.0
     m: float = 1.0
 
+    strict = True
+
+    def __post_init__(self):
+        _require_positive(self.alpha0, "alpha0")
+        _require_positive(self.a, "offset a")
+        _require_positive(self.m, "exponent m", " for alpha to decrease")
+        _require_positive(self.alpha(0.0), "alpha(0)")
+
     def alpha(self, t: float) -> float:
         t = _check_time(t)
         try:
             return self.alpha0 / (self.a + t) ** self.m
         except OverflowError:  # (a + t)^m beyond float range: alpha is below it
             return 0.0
+        except ZeroDivisionError:  # (a + t)^m below float range: alpha is above it
+            return math.inf
 
     def log_derivative(self, t: float) -> float:
         t = _check_time(t)
@@ -65,11 +87,19 @@ class InversePower(Schedule):
 
 
 @dataclass(frozen=True)
-class Exponential(Schedule):
-    """alpha(t) = alpha0 * exp(-beta * t)."""
+class _Decay(Schedule):
+    """alpha(t) = alpha0 * b**(-beta * t), b > 1: its log-derivative is constant."""
 
     alpha0: float
     beta: float
+
+    def __post_init__(self):
+        _require_positive(self.alpha0, "alpha0")
+        _require_positive(self.beta, "decay rate beta", " for alpha to decrease")
+
+
+class Exponential(_Decay):
+    """alpha(t) = alpha0 * exp(-beta * t)."""
 
     def alpha(self, t: float) -> float:
         t = _check_time(t)
@@ -83,12 +113,8 @@ class Exponential(Schedule):
         return f"exp:alpha0={self.alpha0:g},beta={self.beta:g}"
 
 
-@dataclass(frozen=True)
-class Base2(Schedule):
+class Base2(_Decay):
     """alpha(t) = alpha0 * 2**(-beta * t)."""
-
-    alpha0: float
-    beta: float
 
     def alpha(self, t: float) -> float:
         t = _check_time(t)
@@ -104,51 +130,19 @@ class Base2(Schedule):
 
 @dataclass(frozen=True)
 class RateVerdict:
-    """Outcome of validating a schedule as a convergence-rate function.
-
-    `strict` is True when the log-derivative is strictly increasing
-    (inverse-power family); exponential families pass weakly, with a
-    constant log-derivative.
-    """
+    """What `validate_rate_function` reports of a schedule."""
 
     alpha0: float
     log_derivative0: float
     strict: bool
 
 
-def _require_positive(value: float, name: str, why: str = "") -> None:
-    if not 0.0 < value < math.inf:
-        raise ScheduleError(f"{name} must be positive and finite{why}, got {value}")
-
-
 def validate_rate_function(s: Schedule) -> RateVerdict:
-    """Check positivity/decay requirements; raise ScheduleError on violation.
-
-    Returns the triple (alpha(0), log-derivative at 0, strictness flag)
-    wrapped in a RateVerdict.
-    """
-    if isinstance(s, InversePower):
-        _require_positive(s.alpha0, "alpha0")
-        _require_positive(s.a, "offset a")
-        _require_positive(s.m, "exponent m", " for alpha to decrease")
-        strict = True
-    elif isinstance(s, (Exponential, Base2)):
-        _require_positive(s.alpha0, "alpha0")
-        _require_positive(s.beta, "decay rate beta", " for alpha to decrease")
-        strict = False
-    else:
+    """alpha(0), the log-derivative at 0 and `strict` of a schedule, which
+    checked itself when built; ScheduleError for a type of no family."""
+    if not isinstance(s, (InversePower, _Decay)):
         raise ScheduleError(f"unknown schedule type {type(s).__name__}")
-    try:
-        alpha0 = s.alpha(0.0)
-    except ZeroDivisionError:  # a^m underflows to zero
-        alpha0 = math.inf
-    if not 0.0 < alpha0 < math.inf:
-        raise ScheduleError(f"alpha(0) must be positive and finite, got {alpha0}")
-    return RateVerdict(
-        alpha0=alpha0,
-        log_derivative0=s.log_derivative(0.0),
-        strict=strict,
-    )
+    return RateVerdict(alpha0=s.alpha(0.0), log_derivative0=s.log_derivative(0.0), strict=s.strict)
 
 
 _FAMILIES = {
@@ -162,8 +156,9 @@ def parse_schedule(text: str) -> Schedule:
     """Parse a descriptor like ``invpow:alpha0=0.1,a=1,m=6`` (case-insensitive).
 
     Families: ``invpow`` (keys alpha0, a, m; a defaults to 1), ``exp`` and
-    ``base2`` (keys alpha0, beta).  Raises ScheduleError on malformed input;
-    parameter positivity is checked separately by `validate_rate_function`.
+    ``base2`` (keys alpha0, beta).  Raises ScheduleError on malformed input,
+    on a repeated parameter, and, from the schedule's own check, on a
+    parameter that breaks the rate-function requirements.
     """
     head, sep, tail = text.strip().lower().partition(":")
     if not sep or not head:
@@ -173,12 +168,15 @@ def parse_schedule(text: str) -> Schedule:
             f"unknown schedule family {head!r}; expected one of {sorted(_FAMILIES)}"
         )
     cls, defaults = _FAMILIES[head]
-    params = dict(defaults)
+    params, given = dict(defaults), set()
     for item in filter(None, (p.strip() for p in tail.split(","))):
         key, eq, value = item.partition("=")
         key = key.strip()
         if not eq or key not in defaults:
             raise ScheduleError(f"bad parameter {item!r} for family {head!r}")
+        if key in given:
+            raise ScheduleError(f"repeated parameter {key!r} for family {head!r}")
+        given.add(key)
         try:
             params[key] = float(value)
         except ValueError as exc:

@@ -17,7 +17,7 @@ import numpy as np
 from .certificate import Certificate, CertificateInputs, build_certificate
 from .flow import JacobianMatrix, Linearization, OperatorModel
 from .grids import Grid, GridFunction, QuadratureWeights, l2_norm, simpson_weights
-from .schedules import InversePower, Schedule, validate_rate_function
+from .schedules import InversePower, Schedule
 
 
 @dataclass(frozen=True)
@@ -106,8 +106,7 @@ def certified_diagonal_instance(
 
     if schedule is None:
         schedule = InversePower(alpha0=10.0, a=100.0, m=1.0)
-    verdict = validate_rate_function(schedule)  # a growing schedule is not certifiable
-    alpha0 = verdict.alpha0
+    alpha0 = schedule.alpha(0.0)
     w0 = l2_norm(GridFunction(grid, x0.values - solution.values), quad) / alpha0
 
     n1 = float(np.max(spectrum))
@@ -117,7 +116,7 @@ def certified_diagonal_instance(
         n2=n2,
         v_norm=l2_norm(v, quad),
         alpha0=alpha0,
-        logderiv0=verdict.log_derivative0,
+        logderiv0=schedule.log_derivative(0.0),
         radius=10.0,
         w0=w0,
         source="constructed",

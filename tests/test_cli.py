@@ -84,6 +84,10 @@ class TestSolve:
                 ["--schedule", "exp:alpha0=0.1,beta=-1"],
                 "decay rate beta must be positive and finite for alpha to decrease, got -1.0",
             ),
+            (
+                ["--schedule", "exp:alpha0=0.1,beta=3,beta=4"],
+                "repeated parameter 'beta' for family 'exp'",
+            ),
         ],
     )
     def test_usage_error_message(self, flags, message, capsys):
@@ -199,6 +203,10 @@ class TestTable:
                 "unknown problem key(s) 'Rho'; expected l, H, rho, epsilon, grid_n",
             ),
             ({"steppers": ["euler", "euler"]}, "steppers must be distinct, got ['euler', 'euler']"),
+            (
+                {"schedules": ["invpow:alpha0=0.1,a=2,m=1,a=3"]},
+                "repeated parameter 'a' for family 'invpow'",
+            ),
         ],
     )
     def test_bad_config_message(self, change, message, tmp_path, capsys):
@@ -311,6 +319,13 @@ class TestValidateSchedule:
     def test_non_finite_alpha_usage_error(self, schedule, capsys):
         assert run_cli(["validate-schedule", "--schedule", schedule]) == 2
         assert "finite" in capsys.readouterr().err
+
+    def test_repeated_parameter_usage_error(self, capsys):
+        rc = run_cli(["validate-schedule", "--schedule", "exp:alpha0=0.1,beta=3,beta=4"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "gnflow: repeated parameter 'beta' for family 'exp'\n"
 
 
 class TestBlasThreadDefault:

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 
 from gnflow import (
+    Base2,
     DiscrepancyFloor,
     DomainError,
     Exponential,
@@ -18,6 +22,7 @@ from gnflow import (
     JacobianMatrix,
     NonFiniteValueError,
     OperatorModel,
+    Schedule,
     SolverConfig,
     euler_step,
     frechet_matrix,
@@ -29,6 +34,7 @@ from gnflow import (
     true_interface,
     velocity,
 )
+from gnflow.flow import StopRule
 from gnflow.synthetic import DiagonalLinearModel, certified_diagonal_instance
 
 from conftest import LinearMatrixModel, dense_oracle, identity_model, symmetrized
@@ -412,17 +418,63 @@ class TestJacobianConsistency:
 @pytest.mark.parametrize(
     "rule, message",
     [
-        (FixedSteps(-1), "fixed step count must be nonnegative"),
-        (DiscrepancyFloor(-1.0), "discrepancy floor must be nonnegative"),
-        (DiscrepancyFloor(float("nan")), "discrepancy floor must be nonnegative"),
-        (FirstDiscrepancyIncrease(0), "patience must be >= 1"),
+        ((FixedSteps, {"count": -1}), "fixed step count must be nonnegative"),
+        ((DiscrepancyFloor, {"tol": -1.0}), "discrepancy floor must be nonnegative"),
+        ((DiscrepancyFloor, {"tol": float("nan")}), "discrepancy floor must be nonnegative"),
+        ((FirstDiscrepancyIncrease, {"patience": 0}), "patience must be >= 1"),
         ("fixed:3", "unknown stop rule 'fixed:3'"),
+        ((FirstDiscrepancyIncrease, {"alpha_floor": -1e-13}), "alpha floor must be nonnegative"),
+        (
+            (FirstDiscrepancyIncrease, {"alpha_floor": float("nan")}),
+            "alpha floor must be nonnegative",
+        ),
     ],
 )
 def test_solver_config_rejects_bad_stop_rule(rule, message):
-    with pytest.raises(ValueError) as excinfo:
-        SolverConfig(stop_rule=rule)
-    assert str(excinfo.value) == message
+    # a rule checks itself when it is built, directly or by replace(), so
+    # the bad rule is built inside pytest.raises; a string is no rule
+    if isinstance(rule, str):
+        builds = [lambda: rule]
+    else:
+        cls, params = rule
+        builds = [lambda: cls(**params), lambda: dataclasses.replace(cls(1), **params)]
+    for build in builds:
+        with pytest.raises(ValueError) as excinfo:
+            SolverConfig(stop_rule=build())
+        assert str(excinfo.value) == message
+
+
+def _concrete_gnflow_subclasses(*bases):
+    found, todo = set(), list(bases)
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            todo.append(cls)
+            if cls.__module__.startswith("gnflow.") and not inspect.isabstract(cls):
+                found.add(cls)
+    return sorted(found, key=lambda cls: cls.__name__)
+
+
+# a valid instance of each concrete schedule and stop rule, a parameter and a bad value for it
+BAD_PARAMETER = {
+    type(good): (good, name, bad)
+    for good, name, bad in [
+        (InversePower(0.1, 1.0, 2.0), "a", -1.0),
+        (Exponential(0.1, 3.5), "beta", -3.5),
+        (Base2(0.1, 3.5), "alpha0", 0.0),
+        (FixedSteps(3), "count", -3),
+        (DiscrepancyFloor(1e-3), "tol", -1e-3),
+        (FirstDiscrepancyIncrease(3), "alpha_floor", float("nan")),
+    ]
+}
+
+
+@pytest.mark.parametrize(
+    "cls", _concrete_gnflow_subclasses(Schedule, StopRule), ids=lambda cls: cls.__name__
+)
+def test_every_schedule_and_stop_rule_checks_itself_when_built(cls):
+    good, name, bad = BAD_PARAMETER[cls]
+    with pytest.raises(ValueError):
+        dataclasses.replace(good, **{name: bad})  # builds a new instance
 
 
 class TestRunFlow:
@@ -531,8 +583,9 @@ class TestRunFlow:
     @pytest.mark.parametrize("rule", [FirstDiscrepancyIncrease(3), FixedSteps(25)])
     def test_one_alpha_and_domain_check_per_point(self, monkeypatch, stepper, rule):
         # alpha is evaluated once per time point the run visits (t_k, and
-        # t_k + tau/2 for the midpoint rule) plus once by the rate-function
-        # check; the domain is checked once per point, by its linearization
+        # t_k + tau/2 for the midpoint rule); the schedule checked itself
+        # when built, so the run does not evaluate it again.  The domain is
+        # checked once per point, by its linearization
         alpha = Exponential.alpha
         alpha_calls = []
 
@@ -547,17 +600,18 @@ class TestRunFlow:
             domain_checks.append(float(np.max(values)))
             return violation(self, values)
 
+        schedule = Exponential(0.1, 3.5)
         monkeypatch.setattr(Exponential, "alpha", counted)
         params = GravimetryParams(node_count=41)
         model = GravimetryModel.synthetic(params)
         monkeypatch.setattr(GravimetryParams, "admissibility_violation", counted_check)
         config = SolverConfig(stepper=stepper, tau=0.1, max_steps=150, stop_rule=rule)
-        report = run_flow(model, Exponential(0.1, 3.5), initial_guess(params), config)
+        report = run_flow(model, schedule, initial_guess(params), config)
         assert not report.diverged
         k = report.trajectory[-1].step
         assert k > 10
         half_points = k if stepper == "rk" else 0
-        assert len(alpha_calls) == 1 + (k + 1) + half_points
+        assert len(alpha_calls) == (k + 1) + half_points
         assert len(domain_checks) == 1 + k + half_points
 
     @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from gnflow import (
     Base2,
     Exponential,
     InversePower,
+    Schedule,
     ScheduleError,
     parse_schedule,
     validate_rate_function,
@@ -100,25 +102,55 @@ class TestValidation:
     def test_base2_weak(self):
         assert not validate_rate_function(Base2(0.1, 3.5)).strict
 
+    def test_unknown_schedule_type_rejected(self):
+        class Constant(Schedule):
+            def alpha(self, t):
+                return 1.0
+
+            def log_derivative(self, t):
+                return 0.0
+
+            def describe(self):
+                return "constant"
+
+        with pytest.raises(ScheduleError, match="unknown schedule type Constant"):
+            validate_rate_function(Constant())
+
     @pytest.mark.parametrize(
         "bad",
         [
-            InversePower(0.1, 1.0, -2.0),
-            InversePower(0.1, 1.0, 0.0),
-            InversePower(-0.1, 1.0, 2.0),
-            InversePower(0.1, 0.0, 2.0),
-            Exponential(0.1, -1.0),
-            Exponential(0.0, 1.0),
-            Base2(0.1, 0.0),
-            Exponential(math.nan, 1.0),
-            Base2(0.1, math.inf),
-            InversePower(1.0, 1e-320, 1e308),  # alpha(0) = inf
-            InversePower(1.0, 2.0, 1e308),  # alpha(0) = 0
+            (InversePower, (0.1, 1.0, -2.0), "exponent m must be positive and finite"
+             " for alpha to decrease, got -2.0"),
+            (InversePower, (0.1, 1.0, 0.0), "exponent m must be positive and finite"
+             " for alpha to decrease, got 0.0"),
+            (InversePower, (-0.1, 1.0, 2.0), "alpha0 must be positive and finite, got -0.1"),
+            (InversePower, (0.1, 0.0, 2.0), "offset a must be positive and finite, got 0.0"),
+            (Exponential, (0.1, -1.0), "decay rate beta must be positive and finite"
+             " for alpha to decrease, got -1.0"),
+            (Exponential, (0.0, 1.0), "alpha0 must be positive and finite, got 0.0"),
+            (Base2, (0.1, 0.0), "decay rate beta must be positive and finite"
+             " for alpha to decrease, got 0.0"),
+            (Exponential, (math.nan, 1.0), "alpha0 must be positive and finite, got nan"),
+            (Base2, (0.1, math.inf), "decay rate beta must be positive and finite"
+             " for alpha to decrease, got inf"),
+            # a^m underflows: alpha(0) = inf
+            (InversePower, (1.0, 1e-320, 1e308), "alpha(0) must be positive and finite, got inf"),
+            # a^m overflows: alpha(0) = 0
+            (InversePower, (1.0, 2.0, 1e308), "alpha(0) must be positive and finite, got 0.0"),
         ],
     )
     def test_nonpositive_parameters_rejected(self, bad):
-        with pytest.raises(ScheduleError):
-            validate_rate_function(bad)
+        # a schedule checks itself when it is built, directly or by replace()
+        family, params, message = bad
+        names = [f.name for f in dataclasses.fields(family)]
+        good = family(*(1.0 for _ in names))
+        for build in (
+            lambda: family(*params),
+            lambda: dataclasses.replace(good, **dict(zip(names, params))),
+        ):
+            with pytest.raises(ScheduleError) as excinfo:
+                build()
+            assert str(excinfo.value) == message
 
 
 class TestParsing:
@@ -152,3 +184,20 @@ class TestParsing:
     def test_malformed_rejected(self, text):
         with pytest.raises(ScheduleError):
             parse_schedule(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("exp:alpha0=0.1,beta=3,beta=4", "repeated parameter 'beta' for family 'exp'"),
+            ("invpow:alpha0=0.1,a=2,m=1,a=3", "repeated parameter 'a' for family 'invpow'"),
+            ("base2:alpha0=0.1,ALPHA0=0.2,beta=1", "repeated parameter 'alpha0' for family 'base2'"),
+        ],
+    )
+    def test_repeated_parameter_rejected(self, text, message):
+        with pytest.raises(ScheduleError) as excinfo:
+            parse_schedule(text)
+        assert str(excinfo.value) == message
+
+    def test_parsed_parameters_checked(self):
+        with pytest.raises(ScheduleError, match="decay rate beta must be positive"):
+            parse_schedule("exp:alpha0=0.1,beta=-1")
