@@ -14,6 +14,7 @@ trajectory approaches a solution of phi(x) = 0.
 from __future__ import annotations
 
 import math
+import numbers
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property
@@ -46,11 +47,10 @@ class LeftFactor:
 
 
 class _Decomposition(NamedTuple):
-    """sqrt(w), the middle factor M of a Jacobian, and the left singular
-    vectors U and squared singular values sigma^2 of M."""
+    """sqrt(w), and the left singular vectors U and squared singular values
+    sigma^2 of the middle factor M of a Jacobian."""
 
     sqrt_weights: np.ndarray
-    middle: np.ndarray
     u: np.ndarray
     sigma_squared: np.ndarray
 
@@ -92,46 +92,52 @@ class JacobianMatrix:
 
     @cached_property
     def decomposition(self) -> _Decomposition:
-        """The middle factor M = R C S^{-1} (or S C S^{-1} when L = I),
-        S = diag(sqrt(w)), and its left singular pairs, computed on first use
-        and shared by every `normal_solve` on this Jacobian, whatever its
-        alpha.
+        """The left singular pairs of the middle factor M = R C S^{-1} (or
+        S C S^{-1} when L = I), S = diag(sqrt(w)), computed on first use and
+        shared by every `normal_solve` on this Jacobian, whatever its alpha.
 
-        B = S J S^{-1} = Q M with Q orthonormal columns.  M^T = Q2 R2 gives
-        M M^T = R2^T R2, so the SVD of the square R2^T yields U and sigma
-        at O(m^2 n) without forming Q2 or the right singular vectors.
+        B = S J S^{-1} = Q M with Q orthonormal columns.  For L = I, M is
+        square and its SVD gives U and sigma directly.  Otherwise the R-only
+        QR (C S^{-1})^T = Q3 R3 gives M = (R R3^T) Q3^T, so the SVD of the
+        m x m matrix R R3^T yields U and sigma at O(m^2 n), without forming
+        M, Q3 or the right singular vectors.
         """
         s = np.sqrt(self.quadrature.weights)
         if self.left is None:
-            middle = self.matrix * s[:, None]
+            square = self.matrix * s[:, None]
+            square /= s[None, :]
         else:
-            middle = self.left.r @ self.matrix
-        middle /= s[None, :]
+            square = self.left.r @ np.linalg.qr((self.matrix / s[None, :]).T, mode="r").T
         try:
-            u, sigma, _ = np.linalg.svd(np.linalg.qr(middle.T, mode="r").T)
+            u, sigma, _ = np.linalg.svd(square)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"SVD of the Jacobian failed: {exc}") from exc
-        return _Decomposition(s, middle, u, sigma**2)
+        return _Decomposition(s, u, sigma**2)
 
     def normal_solve(self, alpha: float, residual: np.ndarray, offset: np.ndarray) -> np.ndarray:
         """d with (J* J + alpha I) d = -(J* residual + alpha offset), in O(mn)
         from the cached `decomposition` and without forming that right-hand
-        side.  In y = S d and e = S offset the system reads
+        side or M.  In y = S d and e = S offset the system reads
         (M^T M + alpha I)(y + e) = M^T f with f = M e - Q^T S residual, so
 
             d = S^{-1} M^T U (sigma^2 + alpha)^{-1} U^T f - offset,
 
         the Tikhonov form of the step (Elden, BIT 17, 1977), whose rounding
-        is not divided by alpha.
+        is not divided by alpha.  M is applied through its factors:
+        M e = R (C offset) and S^{-1} M^T v = C^T (R^T v) / w, with R = S
+        and Q = I when L = I.
         """
         if alpha <= 0:
             raise NumericalError(f"normal equations need alpha > 0, got {alpha}")
-        s, middle, u, sigma_squared = self.decomposition
-        data = s * residual
-        f = middle @ (s * offset)
-        f -= data if self.left is None else self.left.q.T @ data
-        w = u @ ((u.T @ f) / (sigma_squared + alpha))
-        d = (middle.T @ w) / s - offset
+        s, u, sigma_squared = self.decomposition
+        c_offset = self.matrix @ offset
+        if self.left is None:
+            f = s * (c_offset - residual)
+        else:
+            f = self.left.r @ c_offset - self.left.q.T @ (s * residual)
+        v = u @ ((u.T @ f) / (sigma_squared + alpha))
+        v = s * v if self.left is None else self.left.r.T @ v
+        d = (self.matrix.T @ v) / self.quadrature.weights - offset
         if not np.isfinite(d).all():
             raise NumericalError("normal-equation solve produced non-finite values")
         return d
@@ -189,6 +195,12 @@ def _linearize_on_grid(model: OperatorModel, names: str, *points: GridFunction) 
     return _linearize(model, points[0].values)
 
 
+def _check_integer(value: object, name: str) -> None:
+    """Raise ValueError unless `value` is an integer (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 class StopRule(ABC):
     """When `run_flow` stops.  At each accepted iterate k >= 0 the run asks
     `stop_reason`, then stops at `max_steps`, then asks `alpha_stop` with
@@ -218,6 +230,7 @@ class FixedSteps(StopRule):
     count: int
 
     def __post_init__(self):
+        _check_integer(self.count, "fixed step count")
         if self.count < 0:
             raise ValueError("fixed step count must be nonnegative")
 
@@ -261,6 +274,7 @@ class FirstDiscrepancyIncrease(StopRule):
     reports_best = True
 
     def __post_init__(self):
+        _check_integer(self.patience, "patience")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
         if not self.alpha_floor >= 0:

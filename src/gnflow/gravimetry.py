@@ -39,14 +39,23 @@ INTERP_TOL = 1e-13
 _CHECK_FRACTIONS = np.linspace(0.0, 1.0, 11)[1:-1]
 
 
-def _rungs(estimate: float) -> Iterator[int]:
-    """Chebyshev row counts m >= estimate, smallest first, from the fixed
-    ladder 32 * 2^(k/4) rounded to a multiple of 8: 32, 40, 48, 56, 64, 80,
-    88, 104, 128, ..., 184, 216, 256, 304, 360, ..."""
+def _rungs(estimate: float, limit: int) -> Iterator[int]:
+    """Chebyshev row counts m to try for an a-priori `estimate`, smallest
+    first and at most `limit`.  Below an estimate of 62 they start at the
+    smallest multiple of 4 at or above ceil(estimate) + 2 and step by 4 up
+    to 64; the smallest count that passes the check measured
+    ceil(estimate) + 0..2 on every linearization of the benchmark runs, so
+    the first one tried passes.  Past 64 they come from the fixed ladder
+    32 * 2^(k/4) rounded to a multiple of 8, from its first rung at or above
+    the estimate: 64, 80, 88, 104, 128, ..., 184, 216, 256, 304, 360, ...,
+    so shallow interfaces share few cached rungs."""
+    low = estimate
+    if estimate < 62:
+        yield from range(4 * math.ceil((math.ceil(estimate) + 2) / 4), min(64, limit) + 1, 4)
+        low = 65
     k = 0
-    while True:
-        m = 8 * round(4 * 2 ** (k / 4))
-        if m >= estimate:
+    while (m := 8 * round(4 * 2 ** (k / 4))) <= limit:
+        if m >= low:
             yield m
         k += 1
 
@@ -59,13 +68,18 @@ def _squared_distances(points: np.ndarray, nodes: np.ndarray) -> np.ndarray:
 
 
 class ChebyshevRows(NamedTuple):
-    """One rung: m Chebyshev points c_k, the left factor P that interpolates
-    from them onto the grid, and the squared distances (c_k - s_j)^2 (m x n)
-    to the grid nodes."""
+    """One rung: the m Chebyshev points c_k followed by the check nodes, the
+    left factor P (n x m) that interpolates from the m points onto the grid,
+    the squared distances (c_k - s_j)^2 of all m + 9 points to the grid
+    nodes, the x-independent anomaly numerator
+    sum_j w_j ln((c_k - s_j)^2 + H^2) at each point, and the rows P[check]
+    that interpolate onto the check nodes.  All read-only."""
 
     points: np.ndarray
     left: LeftFactor
     squared_distances: np.ndarray
+    numerator: np.ndarray
+    check_left: np.ndarray
 
 
 def _interpolation_matrix(nodes: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -103,6 +117,10 @@ class GravimetryParams:
                 raise ValueError(f"{name} must be positive and finite")
         if self.epsilon >= self.depth:
             raise ValueError("epsilon must be smaller than the depth")
+        # the kernels square distances up to 2l and heights up to H
+        width = 2.0 * self.half_width
+        if not math.isfinite(width * width + self.depth * self.depth):
+            raise ValueError("half_width and depth are too large: squared distances overflow")
         Grid(self.half_width, self.node_count)  # fail fast on a bad grid spec
 
     @cached_property
@@ -120,28 +138,28 @@ class GravimetryParams:
         return _squared_distances(self.grid.nodes, self.grid.nodes)
 
     @cached_property
-    def check_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """Grid rows where `GravimetryModel.linearize` checks its
-        interpolation, and their squared distances to every node."""
-        rows = np.unique(np.round(_CHECK_FRACTIONS * (self.node_count - 1)).astype(int))
-        return rows, _squared_distances(self.grid.nodes[rows], self.grid.nodes)
-
-    @cached_property
     def _rows_by_rung(self) -> dict[int, ChebyshevRows]:
         return {}
 
     def chebyshev_rows(self, m: int) -> ChebyshevRows:
         """Factors of the interpolation from m Chebyshev points of the second
-        kind on [-l, l], built on first use and kept for the grid's lifetime
-        (one entry per ladder rung used)."""
+        kind on [-l, l], with the rows where it is checked, built on first
+        use and kept for the grid's lifetime (one entry per rung used)."""
         cache = self._rows_by_rung
         if m not in cache:
             k = np.arange(m)
             # sine form: exactly antisymmetric points, from l down to -l
-            points = self.half_width * np.sin(np.pi * (m - 1 - 2 * k) / (2 * (m - 1)))
+            chebyshev = self.half_width * np.sin(np.pi * (m - 1 - 2 * k) / (2 * (m - 1)))
             nodes = self.grid.nodes
-            left = LeftFactor.of(_interpolation_matrix(nodes, points), self.quadrature)
-            cache[m] = ChebyshevRows(points, left, _squared_distances(points, nodes))
+            check = np.unique(np.round(_CHECK_FRACTIONS * (self.node_count - 1)).astype(int))
+            points = np.concatenate([chebyshev, nodes[check]])
+            left = LeftFactor.of(_interpolation_matrix(nodes, chebyshev), self.quadrature)
+            d2 = _squared_distances(points, nodes)
+            numerator = np.log(d2 + self.depth**2) @ self.quadrature.weights
+            check_left = left.matrix[check]
+            for a in (points, numerator, check_left):
+                a.flags.writeable = False
+            cache[m] = ChebyshevRows(points, left, d2, numerator, check_left)
         return cache[m]
 
     def admissibility_violation(self, values: np.ndarray) -> Optional[str]:
@@ -175,11 +193,9 @@ def _anomaly(d2: np.ndarray, den: np.ndarray, p: GravimetryParams) -> np.ndarray
 
 
 def _frechet_entries(den: np.ndarray, h: np.ndarray, p: GravimetryParams) -> np.ndarray:
-    """Frechet matrix entries, written over the kernel denominator `den`."""
-    np.divide(2.0 * h, den, out=den)
-    den *= p.density / (4.0 * np.pi)
-    den *= p.quadrature.weights[None, :]
-    return den
+    """Frechet matrix entries (2 c h_j w_j) / den, c = rho / 4 pi, written
+    over the kernel denominator `den` in one divide."""
+    return np.divide((p.density / (2.0 * np.pi)) * h * p.quadrature.weights, den, out=den)
 
 
 def _kernels(
@@ -191,28 +207,38 @@ def _kernels(
     return _anomaly(d2, den, p), _frechet_entries(den, h, p)
 
 
+def _row_kernels(
+    rows: ChebyshevRows, h: np.ndarray, p: GravimetryParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Anomaly c (numerator - log(d2 + h^2) @ w) and Frechet entries at the
+    Chebyshev points and check nodes of a rung, in one pass over its
+    squared distances."""
+    den = rows.squared_distances + h**2
+    g = (p.density / (4.0 * np.pi)) * (rows.numerator - np.log(den) @ p.quadrature.weights)
+    return g, _frechet_entries(den, h, p)
+
+
 def _rank_estimate(h: np.ndarray, p: GravimetryParams) -> float:
     """A-priori Chebyshev row count for INTERP_TOL, log(1/INTERP_TOL) /
-    log(rho_min): rho_j is the parameter of the Bernstein ellipse through the
-    nearest pole s_j + i h_j of column j, and interpolation at m points
+    log(rho_min): rho_j = a_j + sqrt(a_j^2 - 1), a_j = (|z_j - 1| + |z_j + 1|) / 2,
+    is the parameter of the Bernstein ellipse through the nearest pole
+    z_j = (s_j + i h_j) / l of column j, and interpolation at m points
     converges like rho_min^-m."""
-    z = (p.grid.nodes + 1j * h) / p.half_width
-    rho = float(np.min(np.abs(z + np.sqrt(z - 1) * np.sqrt(z + 1))))
+    s, y = p.grid.nodes / p.half_width, h / p.half_width
+    a = max(float(np.min(np.hypot(s - 1.0, y) + np.hypot(s + 1.0, y))) / 2.0, 1.0)
+    rho = a + math.sqrt((a - 1.0) * (a + 1.0))
     return math.log(1.0 / INTERP_TOL) / math.log(rho) if rho > 1.0 else math.inf
 
 
-def _interpolates(
-    rows: ChebyshevRows, g: np.ndarray, c: np.ndarray, h: np.ndarray, p: GravimetryParams
-) -> bool:
-    """Whether the anomaly `g` and Frechet factor `c` at the Chebyshev rows,
-    interpolated onto the check rows, are within INTERP_TOL of the exact
-    kernel there."""
-    check, d2 = p.check_rows
-    g_exact, j_exact = _kernels(d2, h, p)
-    left = rows.left.matrix[check]
-    return bool(
-        np.max(np.abs(left @ g - g_exact)) <= INTERP_TOL * np.max(np.abs(g_exact))
-        and np.max(np.abs(left @ c - j_exact)) <= INTERP_TOL * np.max(np.abs(j_exact))
+def _interpolates(rows: ChebyshevRows, g: np.ndarray, c: np.ndarray) -> bool:
+    """Whether the anomaly `g` and Frechet entries `c` at the m Chebyshev
+    points of `rows`, interpolated onto the check nodes, are within
+    INTERP_TOL of the exact values there, which `g` and `c` carry in their
+    last rows."""
+    m = rows.check_left.shape[1]
+    return all(
+        np.max(np.abs(rows.check_left @ a[:m] - a[m:])) <= INTERP_TOL * np.max(np.abs(a[m:]))
+        for a in (g, c)
     )
 
 
@@ -288,21 +314,19 @@ class GravimetryModel(OperatorModel):
     def linearize(self, x: np.ndarray) -> Linearization:
         """phi(x) and the factored phi'(x) = P C from the kernel at m
         Chebyshev rows: the anomaly g_c and C are evaluated there, and the
-        residual is P g_c - y.  m is the smallest ladder rung at or above the
-        a-priori estimate whose interpolation passes the check rows, going up
-        one rung on failure; once 2m > n the kernel is assembled densely and
-        the left factor is the identity.  Raises DomainError for an x above
-        the admissible ceiling."""
+        residual is P g_c - y.  m is the first of `_rungs` for the a-priori
+        estimate whose interpolation passes the check nodes, which the same
+        kernel pass evaluates exactly; once 2m > n the kernel is assembled
+        densely and the left factor is the identity.  Raises DomainError for
+        an x above the admissible ceiling."""
         p = self.params
         h = _heights(x, p)
-        for m in _rungs(_rank_estimate(h, p)):
-            if 2 * m > p.node_count:
-                break
+        for m in _rungs(_rank_estimate(h, p), p.node_count // 2):
             rows = p.chebyshev_rows(m)
-            g, c = _kernels(rows.squared_distances, h, p)
-            if _interpolates(rows, g, c, h, p):
-                res = rows.left.matrix @ g
+            g, c = _row_kernels(rows, h, p)
+            if _interpolates(rows, g, c):
+                res = rows.left.matrix @ g[:m]
                 res -= self.data.values
-                return Linearization(res, JacobianMatrix(c, p.quadrature, rows.left))
+                return Linearization(res, JacobianMatrix(c[:m], p.quadrature, rows.left))
         g, j = _kernels(p.squared_distances, h, p)
         return Linearization(g - self.data.values, JacobianMatrix(j, p.quadrature))

@@ -51,6 +51,9 @@ class ExperimentSpec:
     def __post_init__(self):
         if not self.schedules:
             raise ValueError("spec needs at least one schedule")
+        for schedule in self.schedules:
+            if not isinstance(schedule, Schedule):
+                raise ValueError(f"unknown schedule type {type(schedule).__name__}: {schedule!r}")
         if not self.tau_values:
             raise ValueError("spec needs at least one tau value")
         if not self.steppers:

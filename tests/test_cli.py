@@ -88,6 +88,10 @@ class TestSolve:
                 ["--schedule", "exp:alpha0=0.1,beta=3,beta=4"],
                 "repeated parameter 'beta' for family 'exp'",
             ),
+            (
+                ["--H", "1e308", "--grid-n", "3"],
+                "half_width and depth are too large: squared distances overflow",
+            ),
         ],
     )
     def test_usage_error_message(self, flags, message, capsys):

@@ -444,6 +444,24 @@ def test_solver_config_rejects_bad_stop_rule(rule, message):
         assert str(excinfo.value) == message
 
 
+@pytest.mark.parametrize("value", [2.5, 3.0, float("nan"), True, "3"])
+@pytest.mark.parametrize(
+    "rule, name", [(FixedSteps, "fixed step count"), (FirstDiscrepancyIncrease, "patience")]
+)
+def test_stop_rule_counts_must_be_integers(rule, name, value):
+    # a non-integer count never equals a step index and a NaN patience is
+    # never reached, so either would run silently to max_steps; True would
+    # stop after one step
+    with pytest.raises(ValueError) as excinfo:
+        rule(value)
+    assert str(excinfo.value) == f"{name} must be an integer, got {value!r}"
+
+
+def test_stop_rule_counts_accept_numpy_integers():
+    assert FixedSteps(np.int64(3)).stop_reason(3, 1.0, 0) == "fixed_steps"
+    assert FirstDiscrepancyIncrease(np.int32(2)).stop_reason(5, 1.0, 2) == "discrepancy_increase"
+
+
 def _concrete_gnflow_subclasses(*bases):
     found, todo = set(), list(bases)
     while todo:

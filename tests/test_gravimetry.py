@@ -20,6 +20,7 @@ from gnflow import (
     synthesize_data,
     true_interface,
 )
+from gnflow import gravimetry
 from gnflow.gravimetry import INTERP_TOL
 
 from conftest import DenseGravimetryModel
@@ -240,6 +241,86 @@ class TestModelInterfaceContract:
         d2 = rows.squared_distances
         assert not d2.flags.writeable
         assert np.array_equal(d2, (rows.points[:, None] - p.grid.nodes[None, :]) ** 2)
+
+    @pytest.mark.parametrize("point", [initial_guess, true_interface])
+    def test_fused_row_kernels_match_scalar_oracle(self, point):
+        # one kernel pass gives the anomaly and the Frechet entries at the
+        # Chebyshev points and, in its last rows, at the check nodes, which
+        # are grid nodes; every row matches the scalar kernel to 1e-13 of
+        # the largest value (the anomaly subtracts two sums of about 3)
+        p = GravimetryParams(node_count=201)
+        x = point(p).values
+        h = p.depth - x
+        rows = p.chebyshev_rows(40)
+        check = np.unique(np.round(np.linspace(0, 1, 11)[1:-1] * 200).astype(int))
+        assert np.array_equal(rows.points[40:], p.grid.nodes[check])
+        assert np.array_equal(rows.check_left, rows.left.matrix[check])
+        g, c = gravimetry._row_kernels(rows, h, p)
+        scale, w = p.density / (4 * np.pi), p.quadrature.weights
+        nodes = p.grid.nodes
+        g_oracle = [
+            scale * sum(wj * kernel(t, s, xs, p) for wj, s, xs in zip(w, nodes, x))
+            for t in rows.points
+        ]
+        c_oracle = scale * w * 2 * h / ((rows.points[:, None] - nodes) ** 2 + h**2)
+        assert np.max(np.abs(g - g_oracle)) <= 1e-13 * np.max(np.abs(g_oracle))
+        assert np.max(np.abs(c - c_oracle)) <= 1e-13 * np.max(np.abs(c_oracle))
+
+    @pytest.mark.parametrize("depth", [2.0, 1.5, 1.1, 1.01])
+    def test_rank_estimate_matches_complex_bernstein_ellipse(self, depth):
+        # the real-arithmetic rho_min = a + sqrt(a^2 - 1) against the complex
+        # |z + sqrt(z - 1) sqrt(z + 1)|, z = (s + i h) / l
+        p = GravimetryParams(node_count=201, depth=depth)
+        for x in (initial_guess(p).values, true_interface(p).values):
+            h = p.depth - x
+            z = (p.grid.nodes + 1j * h) / p.half_width
+            rho = np.min(np.abs(z + np.sqrt(z - 1) * np.sqrt(z + 1)))
+            expected = math.log(1 / INTERP_TOL) / math.log(rho)
+            assert gravimetry._rank_estimate(h, p) == pytest.approx(expected, rel=1e-9)
+
+    def test_rung_rule(self):
+        # below an estimate of 62: the smallest multiple of 4 at or above
+        # ceil(estimate) + 2, then steps of 4 up to 64; past 64, and for any
+        # larger estimate, the fixed ladder; nothing above the limit
+        ladder = [80, 88, 104, 128, 152, 184, 216, 256, 304, 360]
+        assert list(gravimetry._rungs(33.2, 400)) == [36, 40, 44, 48, 52, 56, 60, 64] + ladder
+        assert list(gravimetry._rungs(34.0, 400))[:2] == [36, 40]
+        assert list(gravimetry._rungs(35.0, 400))[:2] == [40, 44]
+        assert list(gravimetry._rungs(3.5, 12)) == [8, 12]
+        assert list(gravimetry._rungs(61.5, 100)) == [64, 80, 88]
+        assert list(gravimetry._rungs(62.5, 400)) == [64] + ladder
+        assert list(gravimetry._rungs(300.0, 400)) == [304, 360]
+        assert list(gravimetry._rungs(math.inf, 400)) == []
+
+    @pytest.mark.parametrize(
+        ("node_count", "stepper", "beta"), [(801, "euler", 3.5), (201, "rk", 1.0)]
+    )
+    def test_first_rung_passes_its_check(self, monkeypatch, node_count, stepper, beta):
+        # every linearization of a whole run takes one Chebyshev rung, the
+        # first it tries, and that rung has at most ceil(estimate) + 5 rows
+        # (the smallest passing count is ceil(estimate) + 0..2)
+        attempts = []
+        estimate = gravimetry._rank_estimate
+        rows = GravimetryParams.chebyshev_rows
+
+        def recorded_estimate(h, p):
+            attempts.append((estimate(h, p), []))
+            return attempts[-1][0]
+
+        def recorded_rows(p, m):
+            attempts[-1][1].append(m)
+            return rows(p, m)
+
+        monkeypatch.setattr(gravimetry, "_rank_estimate", recorded_estimate)
+        monkeypatch.setattr(GravimetryParams, "chebyshev_rows", recorded_rows)
+        p = GravimetryParams(node_count=node_count)
+        config = SolverConfig(stepper=stepper, tau=0.1, max_steps=500)
+        model = GravimetryModel.synthetic(p)
+        report = run_flow(model, Exponential(0.1, beta), initial_guess(p), config)
+        assert not report.diverged
+        assert len(attempts) > report.steps_taken
+        for rank, tried in attempts:
+            assert len(tried) == 1 and tried[0] <= math.ceil(rank) + 5, (rank, tried)
 
     def test_adjoint_identity(self, benchmark_model):
         jac = benchmark_model.jacobian(initial_guess(benchmark_model.params))

@@ -65,6 +65,14 @@ class TestExperimentSpecValidation:
         with pytest.raises(ValueError):
             ExperimentSpec(schedules=[], tau_values=[0.1])
 
+    def test_schedule_that_is_no_schedule_rejected(self):
+        # a descriptor string is no Schedule: it is named when the spec is
+        # built, not met as an AttributeError in the middle of the sweep
+        text = "exp:alpha0=0.1,beta=1"
+        with pytest.raises(ValueError) as excinfo:
+            ExperimentSpec(schedules=[Exponential(0.1, 3.5), text], tau_values=[0.1])
+        assert str(excinfo.value) == f"unknown schedule type str: {text!r}"
+
     def test_unknown_stepper_rejected(self):
         with pytest.raises(ValueError):
             ExperimentSpec(
