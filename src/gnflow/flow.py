@@ -48,11 +48,16 @@ class LeftFactor:
 
 class _Decomposition(NamedTuple):
     """sqrt(w), and the left singular vectors U and squared singular values
-    sigma^2 of the middle factor M of a Jacobian."""
+    sigma^2 of the middle factor M of a Jacobian.  For L = I, where
+    M = U Sigma V^T is square, also the three n x n factors of the solve:
+    Sigma V^T S, U^T S and S^-1 V Sigma."""
 
     sqrt_weights: np.ndarray
     u: np.ndarray
     sigma_squared: np.ndarray
+    sigma_vt_s: Optional[np.ndarray] = None
+    ut_s: Optional[np.ndarray] = None
+    v_sigma_over_s: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
@@ -97,8 +102,11 @@ class JacobianMatrix:
         shared by every `normal_solve` on this Jacobian, whatever its alpha.
 
         B = S J S^{-1} = Q M with Q orthonormal columns.  For L = I, M is
-        square and its SVD gives U and sigma directly.  Otherwise the R-only
-        QR (C S^{-1})^T = Q3 R3 gives M = (R R3^T) Q3^T, so the SVD of the
+        square and its SVD M = U Sigma V^T is taken directly; the V^T it
+        returns is kept in the scaled factors Sigma V^T S, U^T S and
+        S^{-1} V Sigma, O(n^2) once per Jacobian, so that a solve applies M
+        through them and never through C.  Otherwise the R-only QR
+        (C S^{-1})^T = Q3 R3 gives M = (R R3^T) Q3^T, so the SVD of the
         m x m matrix R R3^T yields U and sigma at O(m^2 n), without forming
         M, Q3 or the right singular vectors.
         """
@@ -109,10 +117,13 @@ class JacobianMatrix:
         else:
             square = self.left.r @ np.linalg.qr((self.matrix / s[None, :]).T, mode="r").T
         try:
-            u, sigma, _ = np.linalg.svd(square)
+            u, sigma, vt = np.linalg.svd(square)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"SVD of the Jacobian failed: {exc}") from exc
-        return _Decomposition(s, u, sigma**2)
+        if self.left is not None:
+            return _Decomposition(s, u, sigma**2)
+        sigma_vt = sigma[:, None] * vt
+        return _Decomposition(s, u, sigma**2, sigma_vt * s, u.T * s, (sigma_vt / s).T)
 
     def normal_solve(self, alpha: float, residual: np.ndarray, offset: np.ndarray) -> np.ndarray:
         """d with (J* J + alpha I) d = -(J* residual + alpha offset), in O(mn)
@@ -123,21 +134,22 @@ class JacobianMatrix:
             d = S^{-1} M^T U (sigma^2 + alpha)^{-1} U^T f - offset,
 
         the Tikhonov form of the step (Elden, BIT 17, 1977), whose rounding
-        is not divided by alpha.  M is applied through its factors:
-        M e = R (C offset) and S^{-1} M^T v = C^T (R^T v) / w, with R = S
-        and Q = I when L = I.
+        is not divided by alpha.  For a factored J, M is applied through its
+        factors: M e = R (C offset) and S^{-1} M^T v = C^T (R^T v) / w.  For
+        L = I, M = U Sigma V^T gives U^T f = (Sigma V^T S) offset -
+        (U^T S) residual and S^{-1} M^T U = S^{-1} V Sigma, three n x n
+        products from the cached factors.
         """
         if alpha <= 0:
             raise NumericalError(f"normal equations need alpha > 0, got {alpha}")
-        s, u, sigma_squared = self.decomposition
-        c_offset = self.matrix @ offset
+        s, u, sigma_squared, sigma_vt_s, ut_s, v_sigma_over_s = self.decomposition
         if self.left is None:
-            f = s * (c_offset - residual)
+            d = v_sigma_over_s @ ((sigma_vt_s @ offset - ut_s @ residual) / (sigma_squared + alpha))
+            d -= offset
         else:
-            f = self.left.r @ c_offset - self.left.q.T @ (s * residual)
-        v = u @ ((u.T @ f) / (sigma_squared + alpha))
-        v = s * v if self.left is None else self.left.r.T @ v
-        d = (self.matrix.T @ v) / self.quadrature.weights - offset
+            f = self.left.r @ (self.matrix @ offset) - self.left.q.T @ (s * residual)
+            v = self.left.r.T @ (u @ ((u.T @ f) / (sigma_squared + alpha)))
+            d = (self.matrix.T @ v) / self.quadrature.weights - offset
         if not np.isfinite(d).all():
             raise NumericalError("normal-equation solve produced non-finite values")
         return d
@@ -329,8 +341,10 @@ class SolverConfig:
             raise ValueError(f"unknown stepper {self.stepper!r}")
         if not 0 < self.tau < math.inf:
             raise ValueError(f"tau must be positive and finite, got {self.tau}")
+        _check_integer(self.max_steps, "max_steps")
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
+        _check_integer(self.record_every, "record_every")
         if self.record_every < 1:
             raise ValueError(f"record_every must be >= 1, got {self.record_every}")
         if not isinstance(self.stop_rule, StopRule):
@@ -462,8 +476,13 @@ def run_flow(
     discrepancy sigma_k = ||phi(x_k)||_L2, which drives the stop rule, and
     the pair is handed to the step for the next direction.  alpha(t_k) is
     evaluated once per time point and serves the stop rule, the step and the
-    record; the linearization of each point is its one admissibility and
-    finiteness check.  Under FirstDiscrepancyIncrease the iterate with
+    record; the linearization of each point is its one admissibility check.
+    Each new point is checked finite before it is linearized; its residual
+    is checked through sigma, which is non-finite exactly when an entry is
+    or its sum of squares overflows, and only a non-finite sigma scans the
+    entries to tell the two apart.  The errors against the reference are
+    checked the same way, through their sup norm, and a non-finite one
+    raises NonFiniteValueError.  Under FirstDiscrepancyIncrease the iterate with
     minimal discrepancy is returned and steps_taken is its index.  The
     trajectory keeps every `record_every`-th iterate and the last accepted one.
     Non-finite iterates or domain violations end the run in-band: the report
@@ -482,9 +501,13 @@ def run_flow(
     weights = model.quadrature.weights
 
     def reference_errors(x: np.ndarray) -> tuple[float, float]:
-        """Sup and L2 norms of x - reference."""
-        diff = _finite(x - reference.values)
-        return float(np.max(np.abs(diff))), l2_norm_values(diff, weights)
+        """Sup and L2 norms of x - reference; the sup norm is non-finite
+        exactly when an entry is, which raises NonFiniteValueError."""
+        diff = x - reference.values
+        err_sup = float(np.abs(diff).max())
+        if not math.isfinite(err_sup):
+            _finite(diff)
+        return err_sup, l2_norm_values(diff, weights)
 
     def point(k: int, x: np.ndarray, sigma: float, alpha_k: float) -> TrajectoryPoint:
         w = err_sup = None
@@ -513,13 +536,14 @@ def run_flow(
         try:
             x_next = _step(model, schedule, k * tau, alpha, x, x0.values, tau, lin, midpoint)
             lin = None  # release J_k before assembling J_{k+1}
-            lin = _linearize(model, x_next)
+            lin = model.linearize(_finite(x_next))
             sigma_next = l2_norm_values(lin.residual, weights)
+            if not math.isfinite(sigma_next):
+                _finite(lin.residual)  # raises for a non-finite entry
+                stop_reason = "diverged: non-finite discrepancy"  # the sum overflowed
+                break
         except (DomainError, NumericalError, NonFiniteValueError) as exc:
             stop_reason = f"diverged: {exc}"
-            break
-        if not np.isfinite(sigma_next):
-            stop_reason = "diverged: non-finite discrepancy"
             break
         k += 1
         x, sigma, alpha = x_next, sigma_next, schedule.alpha(k * tau)

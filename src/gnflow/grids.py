@@ -7,6 +7,7 @@ functions behave like elements of a Hilbert space at every node count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -131,10 +132,11 @@ def l2_norm(f: GridFunction, w: QuadratureWeights) -> float:
 
 def l2_norm_values(values: np.ndarray, weights: np.ndarray) -> float:
     """`l2_norm` of raw nodal values, for a caller whose values already
-    live on the grid of the weights."""
-    return float(np.sqrt(float(weights @ (values * values))))
+    live on the grid of the weights.  Non-finite exactly when an entry of
+    `values` is, or when the weighted sum of squares overflows."""
+    return math.sqrt(weights @ (values * values))
 
 
 def sup_norm(f: GridFunction) -> float:
     """Maximum absolute nodal value."""
-    return float(np.max(np.abs(f.values)))
+    return float(np.abs(f.values).max())

@@ -65,15 +65,24 @@ class CountingModel(OperatorModel):
 
 class BreakingModel(LinearMatrixModel):
     """phi(x) = A x - b for its first `finite_calls` linearizations; from
-    then on b is infinite, so every residual is."""
+    then on every entry of b is `bad` (infinite by default), and so is
+    every residual up to sign."""
 
-    def __init__(self, grid: Grid, matrix: np.ndarray, rhs: np.ndarray, finite_calls: int):
+    def __init__(
+        self,
+        grid: Grid,
+        matrix: np.ndarray,
+        rhs: np.ndarray,
+        finite_calls: int,
+        bad: float = np.inf,
+    ):
         super().__init__(grid, matrix, rhs)
         self.finite_calls = finite_calls
+        self.bad = bad
 
     def linearize(self, x):
         if self.finite_calls == 0:
-            self.rhs = np.full_like(self.rhs, np.inf)
+            self.rhs = np.full_like(self.rhs, self.bad)
         self.finite_calls -= 1
         return super().linearize(x)
 
@@ -155,6 +164,33 @@ class TestJacobianMatrix:
                     assert np.linalg.norm(d - expected) <= 2e-9 * np.linalg.norm(expected), case
                     fresh = model.linearize(x.values).jacobian.normal_solve(alpha, res, offset)
                     assert np.array_equal(d, fresh), case
+
+    @pytest.mark.parametrize("case", ["diagonal", "frechet-x0", "frechet-reference"])
+    def test_identity_left_solve_matches_dense_oracle(self, case):
+        # The identity-left solve applies M = S J S^{-1} = U Sigma V^T
+        # through its cached SVD factors.  Against the filter-factor oracle,
+        # with the run's residual and a random offset, down to the default
+        # alpha_floor: the worst relative error measured is 2.7e-15 on the
+        # certified diagonal model and 2.0e-12 (x0) and 8.8e-12 (reference
+        # interface) on the dense Frechet matrix at n = 201, H = 1.1, all at
+        # alpha = 1e-13.  The bound 1e-10 keeps an 11x margin; applying M
+        # through J twice, as the factored path does, reaches 2.1e-10 at x0.
+        if case == "diagonal":
+            inst = certified_diagonal_instance()
+            res, jac = inst.model.linearize(inst.x0.values)
+        else:
+            params = GravimetryParams(node_count=201, depth=1.1)
+            x = (initial_guess if case == "frechet-x0" else true_interface)(params)
+            res = GravimetryModel.synthetic(params).linearize(x.values).residual
+            jac = frechet_matrix(x, params)
+        assert jac.left is None
+        oracle = dense_oracle(jac)
+        rng = np.random.default_rng(26)
+        for alpha in (1e-1, 1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-13):
+            offset = rng.standard_normal(len(res))
+            expected = oracle(alpha, res, offset)
+            d = jac.normal_solve(alpha, res, offset)
+            assert np.linalg.norm(d - expected) <= 1e-10 * np.linalg.norm(expected), alpha
 
     @pytest.mark.parametrize("case", ["factored", "dense", "diagonal"])
     def test_repeated_solves_match_fresh_jacobians(self, case):
@@ -462,6 +498,36 @@ def test_stop_rule_counts_accept_numpy_integers():
     assert FirstDiscrepancyIncrease(np.int32(2)).stop_reason(5, 1.0, 2) == "discrepancy_increase"
 
 
+@pytest.mark.parametrize("value", [2.5, 3.0, float("nan"), True, "3"])
+@pytest.mark.parametrize("name", ["max_steps", "record_every"])
+def test_solver_config_counts_must_be_integers(name, value):
+    # max_steps=2.5 would stop after 3 steps, max_steps=True after 1, and
+    # record_every=1.5 would record steps 0, 3, 6, 9 of a 10-step run
+    with pytest.raises(ValueError) as excinfo:
+        SolverConfig(**{name: value})
+    assert str(excinfo.value) == f"{name} must be an integer, got {value!r}"
+
+
+@pytest.mark.parametrize("name", ["max_steps", "record_every"])
+def test_solver_config_counts_must_be_positive(name):
+    for value in (0, -1, np.int64(0)):
+        with pytest.raises(ValueError) as excinfo:
+            SolverConfig(**{name: value})
+        assert str(excinfo.value) == f"{name} must be >= 1, got {value}"
+
+
+def test_solver_config_counts_accept_numpy_integers():
+    grid = Grid(1.0, 5)
+    sol = GridFunction.constant(grid, 0.5)
+    model = DiagonalLinearModel(sol, np.ones(5))
+    config = SolverConfig(
+        tau=0.1, max_steps=np.int64(10), stop_rule=FixedSteps(12), record_every=np.int32(4)
+    )
+    report = run_flow(model, UNIT_SCHEDULE, GridFunction.constant(grid, 1.0), config)
+    assert report.stop_reason == "max_steps"
+    assert [p.step for p in report.trajectory] == [0, 4, 8, 10]
+
+
 def _concrete_gnflow_subclasses(*bases):
     found, todo = set(), list(bases)
     while todo:
@@ -719,6 +785,44 @@ class TestRunFlow:
             x = step(LinearMatrixModel(grid, a, b), UNIT_SCHEDULE, i * tau, x, x0, tau)
         assert np.array_equal(report.final_x.values, x.values)
         assert np.isfinite(report.discrepancy)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("stepper", ["euler", "rk"])
+    @pytest.mark.parametrize(
+        "bad, reason",
+        [
+            (np.nan, "grid function contains NaN or infinite values"),
+            (np.inf, "grid function contains NaN or infinite values"),
+            (1e200, "non-finite discrepancy"),
+        ],
+    )
+    def test_breakdown_at_an_iterate_keeps_its_reason(self, stepper, bad, reason):
+        # the residual of x_2 is the first to break: a NaN or infinite
+        # entry, or finite entries near 1e200 whose squares overflow the
+        # discrepancy; the run reads both from sigma but keeps the reasons
+        # apart, and reports x_1
+        rng = np.random.default_rng(38)
+        a = rng.standard_normal((7, 7)) + 7 * np.eye(7)
+        grid = Grid(1.0, 7)
+        finite_calls = 2 if stepper == "euler" else 4  # x0, (x_half,) x1, (x_half)
+        model = BreakingModel(grid, a, rng.standard_normal(7), finite_calls, bad)
+        x0 = GridFunction.constant(grid, 0.0)
+        config = SolverConfig(stepper=stepper, tau=0.1, max_steps=10, stop_rule=FixedSteps(10))
+        report = run_flow(model, UNIT_SCHEDULE, x0, config)
+        assert report.stop_reason == f"diverged: {reason}"
+        assert report.steps_taken == 1 and report.trajectory[-1].step == 1
+        assert np.isfinite(report.discrepancy)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_reference_error_raises(self):
+        # x0 and the reference are finite, but x0 - reference overflows, so
+        # the error of the first recorded point is not a number
+        grid = Grid(1.0, 5)
+        x0 = GridFunction.constant(grid, 1e308)
+        model = LinearMatrixModel(grid, np.eye(5), x0.values)
+        reference = GridFunction.constant(grid, -1e308)
+        with pytest.raises(NonFiniteValueError, match="^grid function contains NaN or infinite"):
+            run_flow(model, UNIT_SCHEDULE, x0, SolverConfig(), reference=reference)
 
     @pytest.mark.parametrize("stepper", ["euler", "rk"])
     @pytest.mark.parametrize("problem", ["gravimetry", "diagonal", "matrix"])
