@@ -219,13 +219,8 @@ class ComparisonVerdict:
     first_violation: Optional[tuple[int, float, float, float]]  # (step, t, w, bound)
 
 
-def comparison_check(
-    cert: Certificate,
-    report: RunReport,
-    u0: float,
-    tolerance: float = 1e-12,
-) -> ComparisonVerdict:
-    """Verify w_k <= u(t_k) + tolerance for every recorded sample.
+def comparison_check(cert: Certificate, report: RunReport, u0: float) -> ComparisonVerdict:
+    """Verify w_k <= u(t_k) + 1e-12 for every recorded sample.
 
     Requires the run to have been recorded against a known reference
     solution (so the w samples exist).
@@ -235,7 +230,7 @@ def comparison_check(
         raise ValueError("report carries no scaled-error samples (no reference run)")
     bounds = bound_curve(cert, u0, np.array([p.t for p in samples]))
     w = np.array([p.w for p in samples])
-    violations = np.flatnonzero(w > bounds + tolerance)
+    violations = np.flatnonzero(w > bounds + 1e-12)
     first_violation = None
     if violations.size:
         i = violations[0]

@@ -31,7 +31,7 @@ from .harness import (
     write_table_csv,
     write_table_rows,
 )
-from .schedules import parse_schedule, validate_rate_function
+from .schedules import format_number, parse_schedule, validate_rate_function
 
 USAGE_ERROR = 2
 RUNTIME_ERROR = 1
@@ -126,7 +126,8 @@ def _cmd_solve(args) -> int:
     try:
         report = run_flow(model, schedule, x0, config, reference=reference)
         cells = summary_cells(RunSummary.of(report))
-        row = [args.stepper, schedule.describe(), format(args.tau, "g"), *cells, report.stop_reason]
+        tau = format_number(args.tau)
+        row = [args.stepper, schedule.describe(), tau, *cells, report.stop_reason]
         rows = [SOLVE_HEADER, row]
         if args.out:
             with open(args.out, "w", newline="") as fh:

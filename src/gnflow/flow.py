@@ -14,7 +14,6 @@ trajectory approaches a solution of phi(x) = 0.
 from __future__ import annotations
 
 import math
-import numbers
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property
@@ -23,9 +22,14 @@ from typing import Literal, NamedTuple, Optional, get_args
 import numpy as np
 
 from .errors import DomainError, GridMismatchError, NonFiniteValueError, NumericalError
-from .grids import Grid, GridFunction, QuadratureWeights, _finite, l2_norm_values
+from .grids import Grid, GridFunction, QuadratureWeights, _check_integer, _finite, l2_norm_values
 from .grids import l2_norm  # unused here: perfbench's traced run wraps flow.l2_norm
-from .schedules import Schedule
+from .schedules import Schedule, format_number
+
+# FirstDiscrepancyIncrease stops once alpha falls below this, about 450
+# float64 epsilons: further steps fit rounding noise rather than data.
+ALPHA_FLOOR = 1e-13
+
 
 @dataclass(frozen=True)
 class LeftFactor:
@@ -207,12 +211,6 @@ def _linearize_on_grid(model: OperatorModel, names: str, *points: GridFunction) 
     return _linearize(model, points[0].values)
 
 
-def _check_integer(value: object, name: str) -> None:
-    """Raise ValueError unless `value` is an integer (a bool is not one)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 class StopRule(ABC):
     """When `run_flow` stops.  At each accepted iterate k >= 0 the run asks
     `stop_reason`, then stops at `max_steps`, then asks `alpha_stop` with
@@ -264,7 +262,7 @@ class DiscrepancyFloor(StopRule):
             raise ValueError("discrepancy floor must be nonnegative")
 
     def describe(self) -> str:
-        return f"floor:{self.tol:g}"
+        return f"floor:{format_number(self.tol)}"
 
     def stop_reason(self, k: int, sigma: float, steps_above_best: int) -> Optional[str]:
         return "discrepancy_floor" if sigma <= self.tol else None
@@ -273,15 +271,11 @@ class DiscrepancyFloor(StopRule):
 @dataclass(frozen=True)
 class FirstDiscrepancyIncrease(StopRule):
     """Stop after `patience` consecutive steps above the running minimum
-    discrepancy, and report the minimizing iterate.
-
-    Also stops once the schedule value drops below `alpha_floor`, about 450
-    float64 epsilons by default: further steps fit rounding noise rather
-    than data.
+    discrepancy, and report the minimizing iterate.  Also stops once the
+    schedule value drops below ALPHA_FLOOR.
     """
 
     patience: int = 3
-    alpha_floor: float = 1e-13
 
     reports_best = True
 
@@ -289,8 +283,6 @@ class FirstDiscrepancyIncrease(StopRule):
         _check_integer(self.patience, "patience")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
-        if not self.alpha_floor >= 0:
-            raise ValueError("alpha floor must be nonnegative")
 
     def describe(self) -> str:
         return f"increase:{self.patience}"
@@ -299,7 +291,7 @@ class FirstDiscrepancyIncrease(StopRule):
         return "discrepancy_increase" if steps_above_best >= self.patience else None
 
     def alpha_stop(self, alpha: float) -> Optional[str]:
-        return "alpha_floor" if alpha < self.alpha_floor else None
+        return "alpha_floor" if alpha < ALPHA_FLOOR else None
 
 
 # the rule of each descriptor head, with the type of its one parameter

@@ -132,12 +132,6 @@ class GravimetryParams:
         return simpson_weights(self.grid)
 
     @cached_property
-    def squared_distances(self) -> np.ndarray:
-        """(t_i - s_j)^2 over the grid nodes, n x n, kept for the dense
-        fallback of `GravimetryModel.linearize`; only that path fills it."""
-        return _squared_distances(self.grid.nodes, self.grid.nodes)
-
-    @cached_property
     def _rows_by_rung(self) -> dict[int, ChebyshevRows]:
         return {}
 
@@ -328,5 +322,5 @@ class GravimetryModel(OperatorModel):
                 res = rows.left.matrix @ g[:m]
                 res -= self.data.values
                 return Linearization(res, JacobianMatrix(c[:m], p.quadrature, rows.left))
-        g, j = _kernels(p.squared_distances, h, p)
+        g, j = _kernels(_squared_distances(p.grid.nodes, p.grid.nodes), h, p)
         return Linearization(g - self.data.values, JacobianMatrix(j, p.quadrature))

@@ -8,6 +8,7 @@ functions behave like elements of a Hilbert space at every node count.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -20,8 +21,8 @@ from .errors import EvenNodeCountError, GridMismatchError, NonFiniteValueError
 class Grid:
     """Uniform grid of `node_count` points spanning [-half_width, half_width].
 
-    `node_count` must be odd and >= 3 so the grid splits into an even number
-    of panels, as composite Simpson quadrature requires.
+    `node_count` must be an integer, odd and >= 3, so the grid splits into
+    an even number of panels, as composite Simpson quadrature requires.
     """
 
     half_width: float
@@ -30,6 +31,7 @@ class Grid:
     def __post_init__(self):
         if not np.isfinite(self.half_width) or self.half_width <= 0:
             raise ValueError(f"half_width must be positive, got {self.half_width}")
+        _check_integer(self.node_count, "node_count")
         if self.node_count < 3:
             raise ValueError(f"node_count must be >= 3, got {self.node_count}")
         if self.node_count % 2 == 0:
@@ -48,6 +50,12 @@ class Grid:
         pts = 0.5 * (pts - pts[::-1])
         pts.flags.writeable = False
         return pts
+
+
+def _check_integer(value: object, name: str) -> None:
+    """Raise ValueError unless `value` is an integer (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _finite(values: np.ndarray) -> np.ndarray:

@@ -13,12 +13,8 @@ import json
 from dataclasses import dataclass, field, fields
 from typing import Collection, Mapping, Optional, Sequence, Union
 
-import numpy as np
-
-from .certificate import Certificate, bound_curve
 from .flow import (
     STEPPERS,
-    FirstDiscrepancyIncrease,
     OperatorModel,
     RunReport,
     SolverConfig,
@@ -43,9 +39,9 @@ class ExperimentSpec:
     schedules: Sequence[Schedule] = ()
     tau_values: Sequence[float] = ()
     steppers: Sequence[str] = STEPPERS
-    stop_rule: StopRule = FirstDiscrepancyIncrease()
-    max_steps: int = 500
-    record_every: int = 1
+    stop_rule: StopRule = SolverConfig.stop_rule
+    max_steps: int = SolverConfig.max_steps
+    record_every: int = SolverConfig.record_every
     output_path: Optional[str] = None
 
     def __post_init__(self):
@@ -175,29 +171,12 @@ def write_table_csv(rows: Sequence[TableRow], path) -> None:
         write_table_rows(rows, fh)
 
 
-def trajectory_export(
-    report: RunReport,
-    path,
-    certificate: Optional[Certificate] = None,
-    u0: Optional[float] = None,
-) -> None:
-    """Write the recorded trajectory as CSV.
-
-    Columns: step, t, alpha, sigma, w (empty without a reference), error_sup
-    (same), and, when a passing certificate and u0 are supplied, the
-    majorant value bound(t).
+def trajectory_export(report: RunReport, path) -> None:
+    """Write the recorded trajectory as CSV, with the columns step, t,
+    alpha, sigma, w and error_sup (the last two empty without a reference).
     """
-    with_bound = certificate is not None
-    if with_bound and u0 is None:
-        raise ValueError("exporting the bound column requires u0")
     header = [f.name for f in fields(TrajectoryPoint)]
     rows = [[_cell(getattr(p, name)) for name in header] for p in report.trajectory]
-    if with_bound:
-        header.append("bound")
-        if rows:
-            ts = np.array([p.t for p in report.trajectory])
-            for row, bound in zip(rows, bound_curve(certificate, u0, ts).tolist()):
-                row.append(_cell(bound))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

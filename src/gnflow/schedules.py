@@ -18,6 +18,13 @@ from .errors import ScheduleError
 _LN2 = math.log(2.0)
 
 
+def format_number(value: float) -> str:
+    """`value` as `:g` text when that parses back to it, else its repr, so
+    a descriptor always names the value it was built from."""
+    text = f"{value:g}"
+    return text if float(text) == value else repr(float(value))
+
+
 def _check_time(t: float) -> float:
     t = float(t)
     if t < 0:
@@ -46,6 +53,11 @@ class Schedule(ABC):
     @abstractmethod
     def describe(self) -> str:
         """Canonical parsable descriptor, e.g. ``exp:alpha0=0.1,beta=3.5``."""
+
+
+def _describe(family: str, **params: float) -> str:
+    """The descriptor ``family:key=value,...`` of a schedule."""
+    return f"{family}:" + ",".join(f"{k}={format_number(v)}" for k, v in params.items())
 
 
 def _require_positive(value: float, name: str, why: str = "") -> None:
@@ -83,7 +95,7 @@ class InversePower(Schedule):
         return -self.m / (self.a + t)
 
     def describe(self) -> str:
-        return f"invpow:alpha0={self.alpha0:g},a={self.a:g},m={self.m:g}"
+        return _describe("invpow", alpha0=self.alpha0, a=self.a, m=self.m)
 
 
 @dataclass(frozen=True)
@@ -110,7 +122,7 @@ class Exponential(_Decay):
         return -self.beta
 
     def describe(self) -> str:
-        return f"exp:alpha0={self.alpha0:g},beta={self.beta:g}"
+        return _describe("exp", alpha0=self.alpha0, beta=self.beta)
 
 
 class Base2(_Decay):
@@ -125,7 +137,7 @@ class Base2(_Decay):
         return -self.beta * _LN2
 
     def describe(self) -> str:
-        return f"base2:alpha0={self.alpha0:g},beta={self.beta:g}"
+        return _describe("base2", alpha0=self.alpha0, beta=self.beta)
 
 
 @dataclass(frozen=True)

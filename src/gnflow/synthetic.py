@@ -78,30 +78,26 @@ class CertifiedInstance:
 
 def certified_diagonal_instance(
     node_count: int = 21,
-    half_width: float = 1.0,
-    v_norm: float = 0.1,
-    spectrum_decay: float = 0.5,
     schedule: Optional[Schedule] = None,
 ) -> CertifiedInstance:
-    """Build a diagonal linear instance whose certificate passes.
+    """Build a diagonal linear instance on [-1, 1] whose certificate passes.
 
-    The spectrum decays geometrically from 1 (mimicking an ill-posed
+    The spectrum decays geometrically, 0.5^k from 1 (mimicking an ill-posed
     operator while keeping ||phi'|| = 1), the source element is a smooth
-    bump scaled to the requested norm, and x0 = x_hat - phi'* phi' v, so the
-    source representation is constructed, not assumed.  The default schedule
+    bump scaled to norm 0.1, and x0 = x_hat - phi'* phi' v, so the source
+    representation is constructed, not assumed.  The default schedule
     alpha(t) = 10/(100 + t) keeps alpha(0) moderate and the log-derivative
     small, which the certificate conditions favor.
     """
-    grid = Grid(half_width, node_count)
+    grid = Grid(1.0, node_count)
     quad = simpson_weights(grid)
     nodes = grid.nodes
 
-    solution = GridFunction(grid, 1.0 + 0.5 * np.cos(np.pi * nodes / (2 * half_width)))
-    k = np.arange(node_count, dtype=float)
-    spectrum = spectrum_decay ** k  # largest value 1 => n1 = 1
+    solution = GridFunction(grid, 1.0 + 0.5 * np.cos(np.pi * nodes / 2.0))
+    spectrum = 0.5 ** np.arange(node_count, dtype=float)  # largest value 1 => n1 = 1
 
-    bump = GridFunction(grid, (1.0 - (nodes / half_width) ** 2) ** 2)
-    v = GridFunction(grid, bump.values * (v_norm / l2_norm(bump, quad)))
+    bump = GridFunction(grid, (1.0 - nodes**2) ** 2)
+    v = GridFunction(grid, bump.values * (0.1 / l2_norm(bump, quad)))
     x0 = GridFunction(grid, solution.values - spectrum**2 * v.values)
 
     if schedule is None:

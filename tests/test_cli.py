@@ -70,6 +70,17 @@ class TestSolve:
         assert lines[0].startswith("stepper,")
         assert len(lines) == 2
 
+    def test_solve_row_names_the_run(self, capsys):
+        # 7 significant digits: `:g` would write 3.45679 and 0.123457
+        schedule = "exp:alpha0=0.1,beta=3.456789"
+        rc = run_cli(
+            ["solve", "--schedule", schedule, "--tau", "0.1234567", "--grid-n", "21",
+             "--max-steps", "5"]
+        )
+        assert rc == 0
+        row = next(csv.reader(capsys.readouterr().out.splitlines()[1:]))
+        assert row[1:3] == [schedule, "0.1234567"]
+
     def test_malformed_schedule_usage_error(self, capsys):
         rc = run_cli(["solve", "--schedule", "exp:alpha0=0.1"])
         assert rc == 2

@@ -44,6 +44,12 @@ def kernel(t: float, s: float, xs: float, p: GravimetryParams) -> float:
     return float(np.log((d2 + p.depth**2) / (d2 + (p.depth - xs) ** 2)))
 
 
+def _square_arrays(p: GravimetryParams) -> list[str]:
+    """Names of the n x n values the params hold."""
+    n = p.node_count
+    return [name for name, value in vars(p).items() if np.shape(value) == (n, n)]
+
+
 class TestKernel:
     def test_zero_interface_gives_zero(self):
         p = GravimetryParams()
@@ -105,6 +111,11 @@ class TestForward:
             forward(too_high, p)
         with pytest.raises(DomainError):
             benchmark_model.linearize(too_high.values)
+
+    def test_non_integer_node_count_rejected(self):
+        # the grid check runs when the params are built, not in `synthetic`
+        with pytest.raises(ValueError, match="node_count must be an integer, got 201.0"):
+            GravimetryParams(node_count=201.0)
 
     def test_wrong_grid_rejected(self):
         p = GravimetryParams()
@@ -217,22 +228,21 @@ class TestModelInterfaceContract:
                 assert jac.left.matrix.shape[0] == node_count
                 assert jac.matrix.shape[0] <= max_rows
                 assert jac.matrix.shape == (jac.left.matrix.shape[1], node_count)
-                assert "squared_distances" not in vars(p)  # no n x n kernel either
+            assert not _square_arrays(p)  # no n x n kernel kept on the params
 
     def test_factored_run_keeps_no_dense_distances(self):
-        # the dense forward map (data synthesis) and Frechet matrix build
-        # their n x n squared distances locally; only the dense fallback of
-        # `linearize` caches them on the params
+        # the dense forward map (data synthesis), the Frechet matrix and the
+        # dense fallback of `linearize` build their n x n squared distances
+        # locally, so none is kept on the params
         p = GravimetryParams(node_count=801)
         model = GravimetryModel.synthetic(p)
         frechet_matrix(initial_guess(p), p)
         assert model.linearize(initial_guess(p).values).jacobian.left is not None
-        assert "squared_distances" not in vars(p)
+        assert not _square_arrays(p)
         shallow = GravimetryParams(node_count=201, depth=1.1)
         model = GravimetryModel.synthetic(shallow)
-        assert "squared_distances" not in vars(shallow)
         assert model.linearize(initial_guess(shallow).values).jacobian.left is None
-        assert "squared_distances" in vars(shallow)
+        assert not _square_arrays(shallow)
 
     def test_chebyshev_rows_carry_their_squared_distances(self):
         p = GravimetryParams(node_count=801)

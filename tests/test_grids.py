@@ -48,6 +48,17 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid(-2.0, 5)
 
+    @pytest.mark.parametrize("count", [5.5, 5.0, True])
+    def test_rejects_non_integer_node_count(self, count):
+        # a float or bool count would build and then fail in `nodes`
+        with pytest.raises(ValueError) as excinfo:
+            Grid(1.0, count)
+        assert str(excinfo.value) == f"node_count must be an integer, got {count!r}"
+
+    def test_accepts_numpy_integer_node_count(self):
+        g = Grid(1.0, np.int64(5))
+        np.testing.assert_array_equal(g.nodes, Grid(1.0, 5).nodes)
+
 
 class TestGridFunction:
     def test_length_checked(self):

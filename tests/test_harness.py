@@ -18,8 +18,6 @@ from gnflow import (
     GridFunction,
     InversePower,
     SolverConfig,
-    bound_curve,
-    default_u0,
     load_spec,
     parse_stop_rule,
     run_flow,
@@ -30,7 +28,6 @@ from gnflow import (
 from gnflow import harness
 from gnflow.flow import RunReport, TrajectoryPoint
 from gnflow.harness import TABLE_HEADER, build_problem, spec_from_config, write_table_rows
-from gnflow.synthetic import certified_diagonal_instance
 
 SMALL_PROBLEM = GravimetryParams(node_count=41)
 
@@ -47,7 +44,9 @@ class TestStopRuleParsing:
         assert parse_stop_rule("increase:5") == FirstDiscrepancyIncrease(5)
 
     def test_round_trip(self):
-        for rule in (FixedSteps(7), DiscrepancyFloor(0.5), FirstDiscrepancyIncrease(2)):
+        # a floor of more than 6 significant digits names itself exactly
+        rules = (FixedSteps(7), DiscrepancyFloor(0.5), DiscrepancyFloor(1.23456789e-4))
+        for rule in (*rules, FirstDiscrepancyIncrease(2)):
             assert parse_stop_rule(rule.describe()) == rule
 
     @pytest.mark.parametrize("bad", ["", "fixed", "fixed:x", "never:1", "floor:"])
@@ -57,6 +56,12 @@ class TestStopRuleParsing:
 
 
 class TestExperimentSpecValidation:
+    def test_run_defaults_are_the_solver_configs(self):
+        spec = ExperimentSpec(schedules=[Exponential(0.1, 3.5)], tau_values=[0.1])
+        default = SolverConfig()
+        for name in ("stop_rule", "max_steps", "record_every"):
+            assert getattr(spec, name) is getattr(default, name)
+
     def test_empty_taus_rejected(self):
         with pytest.raises(ValueError):
             ExperimentSpec(schedules=[Exponential(0.1, 3.5)], tau_values=[])
@@ -300,30 +305,6 @@ class TestTrajectoryExport:
         content = read_csv(path)
         assert content[1][0] == "0"
         assert content[1][4] == "" and content[1][5] == ""
-
-    def test_certified_run_bound_column_dominates_w(self, tmp_path):
-        inst = certified_diagonal_instance()
-        config = SolverConfig(stepper="euler", tau=0.1, max_steps=200, stop_rule=FixedSteps(200))
-        report = run_flow(inst.model, inst.schedule, inst.x0, config, reference=inst.solution)
-        u0 = default_u0(inst.certificate, inst.w0)
-        path = tmp_path / "certified.csv"
-        trajectory_export(report, path, certificate=inst.certificate, u0=u0)
-        content = read_csv(path)
-        assert content[0][-1] == "bound"
-        for row in content[1:]:
-            assert float(row[4]) < float(row[6])  # w strictly below the bound
-
-    def test_bound_column_matches_scalar_majorant(self, tmp_path):
-        inst = certified_diagonal_instance()
-        config = SolverConfig(stepper="rk", tau=0.1, max_steps=300, stop_rule=FixedSteps(300))
-        report = run_flow(inst.model, inst.schedule, inst.x0, config, reference=inst.solution)
-        u0 = default_u0(inst.certificate, inst.w0)
-        path = tmp_path / "certified.csv"
-        trajectory_export(report, path, certificate=inst.certificate, u0=u0)
-        expected = [
-            format(bound_curve(inst.certificate, u0, p.t), ".12e") for p in report.trajectory
-        ]
-        assert [row[6] for row in read_csv(path)[1:]] == expected
 
     def test_sigma_nonincreasing_until_stop(self, tmp_path):
         model, x0, ref = build_problem(SMALL_PROBLEM)

@@ -23,6 +23,7 @@ FAMILY_SAMPLES = [
     Exponential(0.1, 3.5),
     Exponential(1.0, 0.5),
     Base2(0.1, 3.5),
+    InversePower(9.8765, 101.2345, 1.0),  # 7 significant digits, beyond :g
 ]
 
 
@@ -168,6 +169,12 @@ class TestParsing:
     @pytest.mark.parametrize("s", FAMILY_SAMPLES)
     def test_describe_round_trips(self, s):
         assert parse_schedule(s.describe()) == s
+
+    def test_describe_keeps_short_text(self):
+        # :g text that parses back to the value is kept; otherwise repr
+        assert InversePower(10.0, 100.0, 1.0).describe() == "invpow:alpha0=10,a=100,m=1"
+        assert Exponential(0.1, 3.5).describe() == "exp:alpha0=0.1,beta=3.5"
+        assert Base2(1 / 3, 2.0).describe() == "base2:alpha0=0.3333333333333333,beta=2"
 
     @pytest.mark.parametrize(
         "text",
