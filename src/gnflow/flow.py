@@ -34,34 +34,58 @@ ALPHA_FLOOR = 1e-13
 @dataclass(frozen=True)
 class LeftFactor:
     """Left factor L (n x m, m < n) of a factored Jacobian J = L C, with the
-    thin QR S L = Q R, S = diag(sqrt(w)), that the normal solve reads.  Fixed
-    per grid, so it is built once and shared."""
+    thin QR S L = Q R, S = diag(sqrt(w)), that the normal solve reads, and
+    the m x m identity and lower-triangle mask of its raw QRs.  Fixed per
+    grid, so it is built once and shared."""
 
     matrix: np.ndarray
     q: np.ndarray
     r: np.ndarray
+    identity: np.ndarray
+    lower: np.ndarray
 
     @classmethod
     def of(cls, matrix: np.ndarray, quadrature: QuadratureWeights) -> LeftFactor:
         matrix = np.array(matrix, dtype=float)
-        q, r = np.linalg.qr(np.sqrt(quadrature.weights)[:, None] * matrix)
-        for a in (matrix, q, r):
+        q, r = np.linalg.qr(quadrature.sqrt_weights[:, None] * matrix)
+        identity, lower = np.eye(r.shape[0]), np.tri(r.shape[0])
+        for a in (matrix, q, r, identity, lower):
             a.flags.writeable = False
-        return cls(matrix, q, r)
+        return cls(matrix, q, r, identity, lower)
+
+    def triangle(self, a: np.ndarray) -> np.ndarray:
+        """R_a^T, lower triangular, of the R-only QR a = Q_a R_a of an a with
+        m columns, read from numpy's raw QR: its h holds R_a^T in the lower
+        triangle of its first m columns, and Householder vectors above."""
+        h, _ = np.linalg.qr(a, mode="raw")
+        return h[:, : self.lower.shape[0]] * self.lower
 
 
 class _Decomposition(NamedTuple):
-    """sqrt(w), and the left singular vectors U and squared singular values
-    sigma^2 of the middle factor M of a Jacobian.  For L = I, where
-    M = U Sigma V^T is square, also the three n x n factors of the solve:
-    Sigma V^T S, U^T S and S^-1 V Sigma."""
+    """What every `normal_solve` on one Jacobian shares, whatever its alpha.
+    For a factored J = L C, only `k`, K = R R3^T (m x m) from the R-only QR
+    (C S^-1)^T = Q3 R3, S = diag(sqrt(w)), so that the middle factor is
+    M = R C S^-1 = K Q3^T.  For L = I, where M = S C S^-1 = U Sigma V^T is
+    square, the squared singular values sigma^2 and the three n x n
+    factors of the solve: Sigma V^T S, U^T S and S^-1 V Sigma."""
 
-    sqrt_weights: np.ndarray
-    u: np.ndarray
-    sigma_squared: np.ndarray
+    k: Optional[np.ndarray] = None
+    sigma_squared: Optional[np.ndarray] = None
     sigma_vt_s: Optional[np.ndarray] = None
     ut_s: Optional[np.ndarray] = None
     v_sigma_over_s: Optional[np.ndarray] = None
+
+
+def _frozen_view(a: np.ndarray) -> bool:
+    """Whether `a` is a read-only float64 view of a read-only array, which
+    no holder of the view can write to; such an array needs no copy."""
+    return (
+        isinstance(a, np.ndarray)
+        and a.dtype == np.float64
+        and not a.flags.writeable
+        and isinstance(a.base, np.ndarray)
+        and not a.base.flags.writeable
+    )
 
 
 @dataclass(frozen=True)
@@ -72,7 +96,9 @@ class JacobianMatrix:
     data-space grid (one shared grid, so J is square).  `matrix` is C, m x n;
     `left` is L, n x m, or None for L = I, when `matrix` is J itself.  The
     adjoint is the weighted one, J* = W^{-1} J^T W, which makes J* J
-    selfadjoint and nonnegative in the weighted inner product.
+    selfadjoint and nonnegative in the weighted inner product.  `matrix` is
+    copied and frozen unless it is a read-only view of a read-only float64
+    array, as `linearize` hands over, which is kept as is.
     """
 
     matrix: np.ndarray
@@ -80,7 +106,7 @@ class JacobianMatrix:
     left: Optional[LeftFactor] = None
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=float)
+        m = self.matrix if _frozen_view(self.matrix) else np.array(self.matrix, dtype=float)
         n = self.quadrature.grid.node_count
         rows = n if self.left is None else self.left.matrix.shape[1]
         if m.shape != (rows, n) or (self.left is not None and self.left.matrix.shape[0] != n):
@@ -101,59 +127,68 @@ class JacobianMatrix:
 
     @cached_property
     def decomposition(self) -> _Decomposition:
-        """The left singular pairs of the middle factor M = R C S^{-1} (or
-        S C S^{-1} when L = I), S = diag(sqrt(w)), computed on first use and
-        shared by every `normal_solve` on this Jacobian, whatever its alpha.
+        """The alpha-independent part of the normal solve, computed on first
+        use and shared by every `normal_solve` on this Jacobian.
 
-        B = S J S^{-1} = Q M with Q orthonormal columns.  For L = I, M is
-        square and its SVD M = U Sigma V^T is taken directly; the V^T it
-        returns is kept in the scaled factors Sigma V^T S, U^T S and
+        B = S J S^{-1} = Q M with Q orthonormal columns.  For a factored J
+        it is K = R R3^T from the R-only QR (C S^{-1})^T = Q3 R3, at
+        O(m^2 n), with no SVD and without forming M or Q3: each gravimetry
+        Jacobian is solved once, so nothing is prepared for other alphas.
+        For L = I, M is square and its SVD M = U Sigma V^T is taken
+        directly and kept in the scaled factors Sigma V^T S, U^T S and
         S^{-1} V Sigma, O(n^2) once per Jacobian, so that a solve applies M
-        through them and never through C.  Otherwise the R-only QR
-        (C S^{-1})^T = Q3 R3 gives M = (R R3^T) Q3^T, so the SVD of the
-        m x m matrix R R3^T yields U and sigma at O(m^2 n), without forming
-        M, Q3 or the right singular vectors.
+        through them and never through C; the certified model solves one
+        such Jacobian thousands of times.
         """
-        s = np.sqrt(self.quadrature.weights)
-        if self.left is None:
+        s = self.quadrature.sqrt_weights
+        try:
+            if self.left is not None:
+                return _Decomposition(self.left.r @ self.left.triangle((self.matrix / s).T))
             square = self.matrix * s[:, None]
             square /= s[None, :]
-        else:
-            square = self.left.r @ np.linalg.qr((self.matrix / s[None, :]).T, mode="r").T
-        try:
             u, sigma, vt = np.linalg.svd(square)
         except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"SVD of the Jacobian failed: {exc}") from exc
-        if self.left is not None:
-            return _Decomposition(s, u, sigma**2)
+            raise NumericalError(f"decomposition of the Jacobian failed: {exc}") from exc
         sigma_vt = sigma[:, None] * vt
-        return _Decomposition(s, u, sigma**2, sigma_vt * s, u.T * s, (sigma_vt / s).T)
+        return _Decomposition(None, sigma**2, sigma_vt * s, u.T * s, (sigma_vt / s).T)
 
     def normal_solve(self, alpha: float, residual: np.ndarray, offset: np.ndarray) -> np.ndarray:
-        """d with (J* J + alpha I) d = -(J* residual + alpha offset), in O(mn)
-        from the cached `decomposition` and without forming that right-hand
-        side or M.  In y = S d and e = S offset the system reads
+        """d with (J* J + alpha I) d = -(J* residual + alpha offset), from the
+        cached `decomposition` and without forming that right-hand side or
+        M.  In y = S d and e = S offset the system reads
         (M^T M + alpha I)(y + e) = M^T f with f = M e - Q^T S residual, so
 
-            d = S^{-1} M^T U (sigma^2 + alpha)^{-1} U^T f - offset,
+            d = S^{-1} M^T (M M^T + alpha I)^{-1} f - offset,
 
         the Tikhonov form of the step (Elden, BIT 17, 1977), whose rounding
-        is not divided by alpha.  For a factored J, M is applied through its
-        factors: M e = R (C offset) and S^{-1} M^T v = C^T (R^T v) / w.  For
-        L = I, M = U Sigma V^T gives U^T f = (Sigma V^T S) offset -
-        (U^T S) residual and S^{-1} M^T U = S^{-1} V Sigma, three n x n
-        products from the cached factors.
+        is not divided by alpha.  For a factored J, M M^T = K K^T, and the
+        R-only QR of the 2m x m stack [K^T; sqrt(alpha) I] = Q_A T gives
+        T^T T = K K^T + alpha I, so z = T^{-1} T^{-T} f takes two m x m
+        solves; M is applied through its factors, M e = R (C offset) and
+        S^{-1} M^T z = C^T (R^T z) / w, O(mn + m^3) in all.  For L = I,
+        M = U Sigma V^T gives U^T f = (Sigma V^T S) offset - (U^T S)
+        residual and S^{-1} M^T U = S^{-1} V Sigma, three n x n products from
+        the cached factors.  A non-finite or nonpositive alpha, a failed
+        factorization and a non-finite d raise NumericalError.
         """
-        if alpha <= 0:
-            raise NumericalError(f"normal equations need alpha > 0, got {alpha}")
-        s, u, sigma_squared, sigma_vt_s, ut_s, v_sigma_over_s = self.decomposition
-        if self.left is None:
+        if not 0 < alpha < math.inf:
+            raise NumericalError(f"normal equations need 0 < alpha < inf, got {alpha}")
+        k, sigma_squared, sigma_vt_s, ut_s, v_sigma_over_s = self.decomposition
+        left = self.left
+        if left is None:
             d = v_sigma_over_s @ ((sigma_vt_s @ offset - ut_s @ residual) / (sigma_squared + alpha))
             d -= offset
         else:
-            f = self.left.r @ (self.matrix @ offset) - self.left.q.T @ (s * residual)
-            v = self.left.r.T @ (u @ ((u.T @ f) / (sigma_squared + alpha)))
-            d = (self.matrix.T @ v) / self.quadrature.weights - offset
+            f = left.r @ (self.matrix @ offset)
+            f -= left.q.T @ (self.quadrature.sqrt_weights * residual)
+            try:
+                t_lower = left.triangle(np.concatenate((k.T, math.sqrt(alpha) * left.identity)))
+                z = np.linalg.solve(t_lower.T, np.linalg.solve(t_lower, f))
+            except np.linalg.LinAlgError as exc:
+                raise NumericalError(f"normal-equation solve failed: {exc}") from exc
+            d = self.matrix.T @ (left.r.T @ z)
+            d /= self.quadrature.weights
+            d -= offset
         if not np.isfinite(d).all():
             raise NumericalError("normal-equation solve produced non-finite values")
         return d

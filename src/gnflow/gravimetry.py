@@ -158,7 +158,7 @@ class GravimetryParams:
 
     def admissibility_violation(self, values: np.ndarray) -> Optional[str]:
         ceiling = self.depth - self.epsilon
-        worst = float(np.max(values))
+        worst = float(values.max())
         if worst > ceiling:
             return (
                 f"interface value {worst:.6g} exceeds admissible ceiling "
@@ -219,7 +219,7 @@ def _rank_estimate(h: np.ndarray, p: GravimetryParams) -> float:
     z_j = (s_j + i h_j) / l of column j, and interpolation at m points
     converges like rho_min^-m."""
     s, y = p.grid.nodes / p.half_width, h / p.half_width
-    a = max(float(np.min(np.hypot(s - 1.0, y) + np.hypot(s + 1.0, y))) / 2.0, 1.0)
+    a = max(float((np.hypot(s - 1.0, y) + np.hypot(s + 1.0, y)).min()) / 2.0, 1.0)
     rho = a + math.sqrt((a - 1.0) * (a + 1.0))
     return math.log(1.0 / INTERP_TOL) / math.log(rho) if rho > 1.0 else math.inf
 
@@ -231,7 +231,7 @@ def _interpolates(rows: ChebyshevRows, g: np.ndarray, c: np.ndarray) -> bool:
     last rows."""
     m = rows.check_left.shape[1]
     return all(
-        np.max(np.abs(rows.check_left @ a[:m] - a[m:])) <= INTERP_TOL * np.max(np.abs(a[m:]))
+        np.abs(rows.check_left @ a[:m] - a[m:]).max() <= INTERP_TOL * np.abs(a[m:]).max()
         for a in (g, c)
     )
 
@@ -318,6 +318,7 @@ class GravimetryModel(OperatorModel):
         for m in _rungs(_rank_estimate(h, p), p.node_count // 2):
             rows = p.chebyshev_rows(m)
             g, c = _row_kernels(rows, h, p)
+            c.flags.writeable = False  # so that JacobianMatrix keeps c[:m] uncopied
             if _interpolates(rows, g, c):
                 res = rows.left.matrix @ g[:m]
                 res -= self.data.values

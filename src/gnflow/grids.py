@@ -107,6 +107,13 @@ class QuadratureWeights:
         w.flags.writeable = False
         return w
 
+    @cached_property
+    def sqrt_weights(self) -> np.ndarray:
+        """sqrt(w), the diagonal of the symmetrizing scale S = diag(sqrt(w))."""
+        s = np.sqrt(self.weights)
+        s.flags.writeable = False
+        return s
+
 
 def simpson_weights(grid: Grid) -> QuadratureWeights:
     """Composite Simpson quadrature weights; exact on cubics."""

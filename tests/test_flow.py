@@ -21,6 +21,7 @@ from gnflow import (
     InversePower,
     JacobianMatrix,
     NonFiniteValueError,
+    NumericalError,
     OperatorModel,
     Schedule,
     SolverConfig,
@@ -141,13 +142,13 @@ class TestJacobianMatrix:
         # `linearize` (factored, or dense at n=201, H=1.1) with a random
         # offset x - x0, against the filter-factor solution from the SVD of
         # the dense Frechet matrix, down to the default alpha_floor.  The
-        # rounding of S^{-1} M^T w in the solve is about eps ||B|| ||w||
-        # with ||w|| up to ||f|| / (2 sqrt(alpha)), so the error grows like
-        # 1/sqrt(alpha); measured worst cases over this grid: 1.5e-11 at
-        # alpha = 1e-10, 1.6e-10 at 1e-12 and 5.4e-10 at 1e-13 (n = 801,
-        # H = 1.1, at x0).  The bound 2e-9 keeps a 3.7x margin.  Forming
-        # J* phi + alpha (x - x0) first and dividing its rounding by alpha
-        # misses it by up to 2.1e-4 at alpha = 1e-13.
+        # rounding of the last product S^{-1} M^T z is about eps ||B|| times
+        # ||M^T z|| <= ||f|| / (2 sqrt(alpha)), z = (K K^T + alpha I)^{-1} f,
+        # so the error grows like 1/sqrt(alpha); measured worst cases over
+        # this grid: 9.7e-12 at alpha = 1e-10, 1.1e-10 at 1e-12 and 3.2e-10
+        # at 1e-13 (n = 801, H = 1.1, at x0).  The bound 2e-9 keeps a 6.2x
+        # margin.  Forming J* phi + alpha (x - x0) first and dividing its
+        # rounding by alpha misses it by up to 2.1e-4 at alpha = 1e-13.
         rng = np.random.default_rng(25)
         for node_count in (201, 801):
             for depth in (2.0, 1.5, 1.1):
@@ -194,8 +195,9 @@ class TestJacobianMatrix:
 
     @pytest.mark.parametrize("case", ["factored", "dense", "diagonal"])
     def test_repeated_solves_match_fresh_jacobians(self, case):
-        # one Jacobian object decomposes once and serves every alpha; each
-        # of its solves equals the solve on a freshly built Jacobian
+        # one Jacobian object decomposes once and serves every alpha (K for
+        # a factored Jacobian, the SVD factors for an identity left factor);
+        # each of its solves equals the solve on a freshly built Jacobian
         if case == "diagonal":
             model = certified_diagonal_instance().model
             x = model.solution
@@ -228,6 +230,68 @@ class TestJacobianMatrix:
         bad = np.full((3, 3), np.nan)
         with pytest.raises(ValueError):
             JacobianMatrix(bad, simpson_weights(grid))
+
+    def test_read_only_factor_is_kept(self):
+        # linearize hands over C as a read-only view of its read-only kernel
+        # array, which the Jacobian keeps; anything else is copied and frozen
+        params = GravimetryParams(node_count=201)
+        left, quad = params.chebyshev_rows(36).left, params.quadrature
+        kernel = np.random.default_rng(72).uniform(size=(45, 201))
+        kernel.flags.writeable = False
+        assert np.shares_memory(JacobianMatrix(kernel[:36], quad, left).matrix, kernel)
+        writeable = kernel.copy()
+        frozen_view = writeable[:36]
+        frozen_view.flags.writeable = False
+        for factor in (writeable[:36], frozen_view):
+            jac = JacobianMatrix(factor, quad, left)
+            assert not np.shares_memory(jac.matrix, writeable)
+            assert not jac.matrix.flags.writeable
+            assert np.array_equal(jac.matrix, kernel[:36])
+        res, jac = GravimetryModel.synthetic(params).linearize(initial_guess(params).values)
+        assert jac.left is not None and not jac.matrix.flags.owndata
+
+    def test_read_only_factor_with_nan_rejected(self):
+        params = GravimetryParams(node_count=201)
+        kernel = np.ones((45, 201))
+        kernel[3, 5] = np.nan
+        kernel.flags.writeable = False
+        with pytest.raises(NonFiniteValueError, match="^Jacobian contains non-finite entries"):
+            JacobianMatrix(kernel[:36], params.quadrature, params.chebyshev_rows(36).left)
+
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, 0.0, -1e-3])
+    @pytest.mark.parametrize("depth", [2.0, 1.1])  # factored, dense
+    def test_normal_solve_rejects_bad_alpha(self, depth, alpha):
+        params = GravimetryParams(node_count=201, depth=depth)
+        res, jac = GravimetryModel.synthetic(params).linearize(initial_guess(params).values)
+        assert (jac.left is None) == (depth == 1.1)
+        with pytest.raises(NumericalError, match="^normal equations need 0 < alpha < inf"):
+            jac.normal_solve(alpha, res, np.zeros(201))
+
+    @pytest.mark.parametrize(
+        "broken, factored_first, message",
+        [
+            ("qr", False, "decomposition of the Jacobian failed"),
+            ("qr", True, "normal-equation solve failed"),
+            ("solve", True, "normal-equation solve failed"),
+        ],
+    )
+    def test_factored_breakdown_raises_numerical_error(
+        self, monkeypatch, broken, factored_first, message
+    ):
+        # a LinAlgError from the QR of (C S^-1)^T, from the QR of the stack
+        # or from a triangular solve is a NumericalError, which run_flow
+        # reports in band
+        params = GravimetryParams(node_count=201)
+        res, jac = GravimetryModel.synthetic(params).linearize(initial_guess(params).values)
+        if factored_first:
+            jac.decomposition
+
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, broken, fail)
+        with pytest.raises(NumericalError, match=f"^{message}: Singular matrix$"):
+            jac.normal_solve(1e-3, res, np.zeros(201))
 
     def test_spectral_estimate_contraction(self):
         # ||(J*J + aI)^{-1} J*J|| <= 1 in the weighted operator norm
@@ -872,6 +936,40 @@ class TestRunFlow:
         assert not report.diverged and report.trajectory[-1].step >= 10
         assert len(built) == 1, len(built)
         assert built[0] is report.final_x
+
+    @pytest.mark.parametrize("stepper", ["euler", "rk"])
+    def test_factored_run_calls_no_svd(self, monkeypatch, stepper):
+        # every gravimetry Jacobian is solved once, so a factored solve is
+        # the QR of its alpha's stack and nothing else is decomposed
+        svd = np.linalg.svd
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        params = GravimetryParams(node_count=201, depth=2.0)
+        model = CountingModel(GravimetryModel.synthetic(params))
+        config = SolverConfig(stepper=stepper, tau=0.1, max_steps=500)
+        report = run_flow(model, Exponential(0.1, 3.5), initial_guess(params), config)
+        assert report.stop_reason == "alpha_floor" and report.steps_taken == 79
+        assert model.linearizations > 79
+        assert calls == []
+
+    @pytest.mark.parametrize("stepper", ["euler", "rk"])
+    def test_singular_solve_ends_run_in_band(self, monkeypatch, stepper):
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        params = GravimetryParams(node_count=201)
+        config = SolverConfig(stepper=stepper)
+        report = run_flow(
+            GravimetryModel.synthetic(params), Exponential(0.1, 3.5), initial_guess(params), config
+        )
+        assert report.diverged and report.steps_taken == 0
+        assert report.stop_reason == "diverged: normal-equation solve failed: Singular matrix"
 
     def test_certified_midpoint_run_factors_once(self, monkeypatch):
         # the diagonal model's Jacobian is one object per model, so the one

@@ -351,10 +351,8 @@ def test_factored_run_matches_dense_run(depth, stepper):
     # dense n x n forward map and Frechet matrix: Euler and midpoint at
     # n = 201, exp:alpha0=0.1,beta=3.5, tau = 0.1, increase:3.  Both stop
     # on alpha_floor after 79 steps.  Measured relative gaps over the four
-    # cases: error_sup at most 7.9e-11 and the discrepancy at most 3.6e-10
-    # (1.1e-10 and 5.1e-10 while the dense solve applied M through J twice
-    # instead of through its SVD factors), so the bounds 1e-9 and 5e-9 keep
-    # a 12x margin.  A solve that forms
+    # cases: error_sup at most 4.0e-11 and the discrepancy at most 2.2e-10,
+    # so the bounds 1e-9 and 5e-9 keep a 23x margin.  A solve that forms
     # J* phi + alpha (x - x0) and divides its rounding by alpha widens them
     # to 5.3e-7 and 2.1e-5.
     p = GravimetryParams(node_count=201, depth=depth)
