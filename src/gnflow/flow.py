@@ -34,8 +34,9 @@ ALPHA_FLOOR = 1e-13
 @dataclass(frozen=True)
 class LeftFactor:
     """Left factor L (n x m, m < n) of a factored Jacobian J = L C, with the
-    thin QR S L = Q R, S = diag(sqrt(w)), that the normal solve reads, and
-    the m x m identity and lower-triangle mask of its raw QRs.  Fixed per
+    thin QR S L = Q R, S = diag(sqrt(w)), that the normal solve reads, the
+    m x m identity that shifts its Gram matrix by alpha, and the
+    lower-triangle mask of the raw QRs of its Elden fallback.  Fixed per
     grid, so it is built once and shared."""
 
     matrix: np.ndarray
@@ -61,15 +62,22 @@ class LeftFactor:
         return h[:, : self.lower.shape[0]] * self.lower
 
 
+# Iterative refinement of a factored solve stops once a correction moves the
+# step by at most REFINE_TOL of its norm, and hands over to the Elden solve
+# when a correction does not shrink or REFINE_STEPS corrections pass.
+REFINE_TOL = 1e-10
+REFINE_STEPS = 8
+
+
 class _Decomposition(NamedTuple):
     """What every `normal_solve` on one Jacobian shares, whatever its alpha.
-    For a factored J = L C, only `k`, K = R R3^T (m x m) from the R-only QR
-    (C S^-1)^T = Q3 R3, S = diag(sqrt(w)), so that the middle factor is
-    M = R C S^-1 = K Q3^T.  For L = I, where M = S C S^-1 = U Sigma V^T is
-    square, the squared singular values sigma^2 and the three n x n
-    factors of the solve: Sigma V^T S, U^T S and S^-1 V Sigma."""
+    For a factored J = L C, only `gram`, G = R (C W^-1 C^T) R^T = M M^T
+    (m x m), with M = R C S^-1, S = diag(sqrt(w)).  For L = I, where
+    M = S C S^-1 = U Sigma V^T is square, the squared singular values
+    sigma^2 and the three n x n factors of the solve: Sigma V^T S, U^T S
+    and S^-1 V Sigma."""
 
-    k: Optional[np.ndarray] = None
+    gram: Optional[np.ndarray] = None
     sigma_squared: Optional[np.ndarray] = None
     sigma_vt_s: Optional[np.ndarray] = None
     ut_s: Optional[np.ndarray] = None
@@ -131,26 +139,86 @@ class JacobianMatrix:
         use and shared by every `normal_solve` on this Jacobian.
 
         B = S J S^{-1} = Q M with Q orthonormal columns.  For a factored J
-        it is K = R R3^T from the R-only QR (C S^{-1})^T = Q3 R3, at
-        O(m^2 n), with no SVD and without forming M or Q3: each gravimetry
-        Jacobian is solved once, so nothing is prepared for other alphas.
-        For L = I, M is square and its SVD M = U Sigma V^T is taken
+        it is the Gram matrix G = R (C W^{-1} C^T) R^T = M M^T, one O(m^2 n)
+        product with no QR and no SVD, and without forming M: each
+        gravimetry Jacobian is solved once, so nothing is prepared for other
+        alphas.  For L = I, M is square and its SVD M = U Sigma V^T is taken
         directly and kept in the scaled factors Sigma V^T S, U^T S and
         S^{-1} V Sigma, O(n^2) once per Jacobian, so that a solve applies M
         through them and never through C; the certified model solves one
         such Jacobian thousands of times.
         """
         s = self.quadrature.sqrt_weights
+        if self.left is not None:
+            x = self.matrix / s
+            return _Decomposition(self.left.r @ (x @ x.T) @ self.left.r.T)
+        square = self.matrix * s[:, None]
+        square /= s[None, :]
         try:
-            if self.left is not None:
-                return _Decomposition(self.left.r @ self.left.triangle((self.matrix / s).T))
-            square = self.matrix * s[:, None]
-            square /= s[None, :]
             u, sigma, vt = np.linalg.svd(square)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"decomposition of the Jacobian failed: {exc}") from exc
         sigma_vt = sigma[:, None] * vt
         return _Decomposition(None, sigma**2, sigma_vt * s, u.T * s, (sigma_vt / s).T)
+
+    @cached_property
+    def elden_factor(self) -> np.ndarray:
+        """K = R R3^T (m x m) of a factored J, from the R-only QR
+        (C S^{-1})^T = Q3 R3, so that M = K Q3^T and K K^T = G, at
+        O(m^2 n).  Only the Elden fallback of `normal_solve` reads it, so it
+        is computed on first use by that fallback."""
+        try:
+            return self.left.r @ self.left.triangle((self.matrix / self.quadrature.sqrt_weights).T)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"decomposition of the Jacobian failed: {exc}") from exc
+
+    def _lift(self, z: np.ndarray) -> np.ndarray:
+        """S^{-1} M^T z = C^T (R^T z) / w for a factored J, O(mn)."""
+        y = self.matrix.T @ (self.left.r.T @ z)
+        y /= self.quadrature.weights
+        return y
+
+    def _refined_solve(self, alpha: float, f: np.ndarray) -> Optional[np.ndarray]:
+        """y = S^{-1} M^T z with (G + alpha I) z = f, by iterative refinement
+        preconditioned with P = (G + alpha I)^{-1}, or None when `inv` fails
+        or the refinement does not converge.  Each residual
+        f - R (C y) - alpha z goes through the factors, never through G, so
+        rounding in G and P slows convergence but does not bias y."""
+        left = self.left
+        try:
+            p = np.linalg.inv(self.decomposition.gram + alpha * left.identity)
+        except np.linalg.LinAlgError:
+            return None
+        z = p @ f
+        y = self._lift(z)
+        last = y @ y  # squared norms throughout
+        for _ in range(REFINE_STEPS):
+            e = f - left.r @ (self.matrix @ y)
+            e -= alpha * z
+            dz = p @ e
+            dy = self._lift(dz)
+            z += dz
+            y += dy
+            step = dy @ dy
+            if step <= REFINE_TOL**2 * (y @ y):
+                return y
+            if not step < last:  # also for a NaN
+                return None
+            last = step
+        return None
+
+    def _elden_solve(self, alpha: float, f: np.ndarray) -> np.ndarray:
+        """y = S^{-1} M^T z with (K K^T + alpha I) z = f from the R-only QR
+        of the 2m x m stack [K^T; sqrt(alpha) I] = Q_A T, T^T T = K K^T +
+        alpha I, and two m x m solves (Elden, BIT 17, 1977)."""
+        left = self.left
+        k = self.elden_factor
+        try:
+            t_lower = left.triangle(np.concatenate((k.T, math.sqrt(alpha) * left.identity)))
+            z = np.linalg.solve(t_lower.T, np.linalg.solve(t_lower, f))
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"normal-equation solve failed: {exc}") from exc
+        return self._lift(z)
 
     def normal_solve(self, alpha: float, residual: np.ndarray, offset: np.ndarray) -> np.ndarray:
         """d with (J* J + alpha I) d = -(J* residual + alpha offset), from the
@@ -161,34 +229,32 @@ class JacobianMatrix:
             d = S^{-1} M^T (M M^T + alpha I)^{-1} f - offset,
 
         the Tikhonov form of the step (Elden, BIT 17, 1977), whose rounding
-        is not divided by alpha.  For a factored J, M M^T = K K^T, and the
-        R-only QR of the 2m x m stack [K^T; sqrt(alpha) I] = Q_A T gives
-        T^T T = K K^T + alpha I, so z = T^{-1} T^{-T} f takes two m x m
-        solves; M is applied through its factors, M e = R (C offset) and
-        S^{-1} M^T z = C^T (R^T z) / w, O(mn + m^3) in all.  For L = I,
-        M = U Sigma V^T gives U^T f = (Sigma V^T S) offset - (U^T S)
+        is not divided by alpha.  For a factored J, M M^T = G, and
+        M e = R (C offset) and S^{-1} M^T z = C^T (R^T z) / w are applied
+        through the factors.  The fast path, like LAPACK's dsgesv, inverts
+        G + alpha I once and refines z against the factors until a
+        correction moves S^{-1} M^T z by at most REFINE_TOL relative,
+        O(m^3 + mn) per solve; if `inv` fails, a correction does not shrink
+        or REFINE_STEPS corrections pass, as happens below alpha of about
+        1e-16, the Elden solve through `elden_factor` takes over.  For
+        L = I, M = U Sigma V^T gives U^T f = (Sigma V^T S) offset - (U^T S)
         residual and S^{-1} M^T U = S^{-1} V Sigma, three n x n products from
         the cached factors.  A non-finite or nonpositive alpha, a failed
         factorization and a non-finite d raise NumericalError.
         """
         if not 0 < alpha < math.inf:
             raise NumericalError(f"normal equations need 0 < alpha < inf, got {alpha}")
-        k, sigma_squared, sigma_vt_s, ut_s, v_sigma_over_s = self.decomposition
+        _, sigma_squared, sigma_vt_s, ut_s, v_sigma_over_s = self.decomposition
         left = self.left
         if left is None:
             d = v_sigma_over_s @ ((sigma_vt_s @ offset - ut_s @ residual) / (sigma_squared + alpha))
-            d -= offset
         else:
             f = left.r @ (self.matrix @ offset)
             f -= left.q.T @ (self.quadrature.sqrt_weights * residual)
-            try:
-                t_lower = left.triangle(np.concatenate((k.T, math.sqrt(alpha) * left.identity)))
-                z = np.linalg.solve(t_lower.T, np.linalg.solve(t_lower, f))
-            except np.linalg.LinAlgError as exc:
-                raise NumericalError(f"normal-equation solve failed: {exc}") from exc
-            d = self.matrix.T @ (left.r.T @ z)
-            d /= self.quadrature.weights
-            d -= offset
+            d = self._refined_solve(alpha, f)
+            if d is None:
+                d = self._elden_solve(alpha, f)
+        d -= offset
         if not np.isfinite(d).all():
             raise NumericalError("normal-equation solve produced non-finite values")
         return d

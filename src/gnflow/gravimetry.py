@@ -311,8 +311,10 @@ class GravimetryModel(OperatorModel):
         residual is P g_c - y.  m is the first of `_rungs` for the a-priori
         estimate whose interpolation passes the check nodes, which the same
         kernel pass evaluates exactly; once 2m > n the kernel is assembled
-        densely and the left factor is the identity.  Raises DomainError for
-        an x above the admissible ceiling."""
+        densely and the left factor is the identity.  Either kernel array is
+        made read-only and handed over as a view, which the Jacobian keeps
+        without a copy.  Raises DomainError for an x above the admissible
+        ceiling."""
         p = self.params
         h = _heights(x, p)
         for m in _rungs(_rank_estimate(h, p), p.node_count // 2):
@@ -324,4 +326,5 @@ class GravimetryModel(OperatorModel):
                 res -= self.data.values
                 return Linearization(res, JacobianMatrix(c[:m], p.quadrature, rows.left))
         g, j = _kernels(_squared_distances(p.grid.nodes, p.grid.nodes), h, p)
-        return Linearization(g - self.data.values, JacobianMatrix(j, p.quadrature))
+        j.flags.writeable = False  # so that JacobianMatrix keeps the view j[:] uncopied
+        return Linearization(g - self.data.values, JacobianMatrix(j[:], p.quadrature))

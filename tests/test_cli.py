@@ -83,11 +83,13 @@ class TestSolve:
         assert row[1:3] == [schedule, "0.1234567"]
 
     def test_singular_solve_is_reported_in_the_row(self, monkeypatch, capsys):
-        # a failed triangular solve ends the run in band: the row says so and
-        # the command exits 0, with no traceback, as for any diverged run
+        # a failed inverse and a failed triangular solve of the Elden
+        # fallback end the run in band: the row says so and the command
+        # exits 0, with no traceback, as for any diverged run
         def singular(*args, **kwargs):
             raise np.linalg.LinAlgError("Singular matrix")
 
+        monkeypatch.setattr(np.linalg, "inv", singular)
         monkeypatch.setattr(np.linalg, "solve", singular)
         rc = run_cli(
             ["solve", "--schedule", "exp:alpha0=0.1,beta=3.5", "--grid-n", "201",

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
+import math
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from gnflow import (
     true_interface,
     velocity,
 )
+from gnflow import gravimetry
 from gnflow.flow import StopRule
 from gnflow.synthetic import DiagonalLinearModel, certified_diagonal_instance
 
@@ -107,6 +109,20 @@ def random_jacobian(rng, n=None, l=None) -> JacobianMatrix:
     return JacobianMatrix(rng.uniform(-1, 1, size=(n, n)), simpson_weights(grid))
 
 
+def elden_solve(jac: JacobianMatrix, alpha: float, residual, offset) -> np.ndarray:
+    """The factored normal solve by Elden's method alone: the R-only QR of
+    the stack [K^T; sqrt(alpha) I] = Q_A T and two solves with T."""
+    left, w = jac.left, jac.quadrature.weights
+    f = left.r @ (jac.matrix @ offset)
+    f -= left.q.T @ (jac.quadrature.sqrt_weights * residual)
+    t_lower = left.triangle(np.concatenate((jac.elden_factor.T, math.sqrt(alpha) * left.identity)))
+    z = np.linalg.solve(t_lower.T, np.linalg.solve(t_lower, f))
+    d = jac.matrix.T @ (left.r.T @ z)
+    d /= w
+    d -= offset
+    return d
+
+
 def weighted_operator_norm(mat: np.ndarray, weights: np.ndarray) -> float:
     s = np.sqrt(weights)
     return float(np.linalg.norm((mat * s[:, None]) / s[None, :], ord=2))
@@ -149,6 +165,12 @@ class TestJacobianMatrix:
         # at 1e-13 (n = 801, H = 1.1, at x0).  The bound 2e-9 keeps a 6.2x
         # margin.  Forming J* phi + alpha (x - x0) first and dividing its
         # rounding by alpha misses it by up to 2.1e-4 at alpha = 1e-13.
+        # Below the floor the bound scales as 2e-9 sqrt(1e-13 / alpha); the
+        # refinement of the factored solve stops converging near 1e-16 and
+        # the Elden fallback takes over.  Measured worst cases at one
+        # OpenBLAS thread: 8.6e-10 at 1e-14, 2.1e-9 at 1e-15, 6.0e-9 at
+        # 1e-16, 8.3e-8 at 1e-18 and 1.6e-4 at 1e-24 (n = 801, H = 1.1, at
+        # x0), a margin of 4x or more.
         rng = np.random.default_rng(25)
         for node_count in (201, 801):
             for depth in (2.0, 1.5, 1.1):
@@ -157,12 +179,15 @@ class TestJacobianMatrix:
                 x = point(params)
                 res, jac = model.linearize(x.values)
                 oracle = dense_oracle(frechet_matrix(x, params))
-                for alpha in (1e-1, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-13):
+                for alpha in (
+                    1e-1, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-13, 1e-14, 1e-15, 1e-16, 1e-18, 1e-24
+                ):
                     case = (node_count, depth, alpha)
                     offset = rng.standard_normal(node_count)
                     expected = oracle(alpha, res, offset)
                     d = jac.normal_solve(alpha, res, offset)
-                    assert np.linalg.norm(d - expected) <= 2e-9 * np.linalg.norm(expected), case
+                    bound = 2e-9 * max(1.0, math.sqrt(1e-13 / alpha))
+                    assert np.linalg.norm(d - expected) <= bound * np.linalg.norm(expected), case
                     fresh = model.linearize(x.values).jacobian.normal_solve(alpha, res, offset)
                     assert np.array_equal(d, fresh), case
 
@@ -250,6 +275,23 @@ class TestJacobianMatrix:
         res, jac = GravimetryModel.synthetic(params).linearize(initial_guess(params).values)
         assert jac.left is not None and not jac.matrix.flags.owndata
 
+    def test_dense_fallback_keeps_its_kernel_array(self, monkeypatch):
+        # at n = 201, H = 1.1 linearize assembles the n x n Frechet array,
+        # which the Jacobian keeps as a read-only view instead of a copy
+        kernels = gravimetry._kernels
+        built = []
+
+        def recorded(*args):
+            g, j = kernels(*args)
+            built.append(j)
+            return g, j
+
+        monkeypatch.setattr(gravimetry, "_kernels", recorded)
+        params = GravimetryParams(node_count=201, depth=1.1)
+        res, jac = GravimetryModel.synthetic(params).linearize(initial_guess(params).values)
+        assert jac.left is None and len(built) == 1
+        assert np.shares_memory(jac.matrix, built[0]) and not jac.matrix.flags.writeable
+
     def test_read_only_factor_with_nan_rejected(self):
         params = GravimetryParams(node_count=201)
         kernel = np.ones((45, 201))
@@ -278,20 +320,37 @@ class TestJacobianMatrix:
     def test_factored_breakdown_raises_numerical_error(
         self, monkeypatch, broken, factored_first, message
     ):
-        # a LinAlgError from the QR of (C S^-1)^T, from the QR of the stack
-        # or from a triangular solve is a NumericalError, which run_flow
+        # once the inverse of the fast path fails, a LinAlgError of the Elden
+        # fallback, from the QR of (C S^-1)^T, from the QR of the stack or
+        # from a triangular solve, is a NumericalError, which run_flow
         # reports in band
         params = GravimetryParams(node_count=201)
         res, jac = GravimetryModel.synthetic(params).linearize(initial_guess(params).values)
         if factored_first:
-            jac.decomposition
+            jac.elden_factor
 
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("Singular matrix")
 
+        monkeypatch.setattr(np.linalg, "inv", fail)
         monkeypatch.setattr(np.linalg, broken, fail)
         with pytest.raises(NumericalError, match=f"^{message}: Singular matrix$"):
             jac.normal_solve(1e-3, res, np.zeros(201))
+
+    @pytest.mark.parametrize("alpha, inv_fails", [(1e-3, True), (1e-13, True), (1e-24, False)])
+    def test_factored_fallback_is_the_elden_solve(self, monkeypatch, alpha, inv_fails):
+        # a failing inverse, or a refinement that does not converge as at
+        # alpha = 1e-24, hands the solve to Elden's, bit for bit
+        params = GravimetryParams(node_count=201)
+        res, jac = GravimetryModel.synthetic(params).linearize(initial_guess(params).values)
+        offset = np.random.default_rng(73).standard_normal(201)
+        expected = elden_solve(jac, alpha, res, offset)
+        if inv_fails:
+            def fail(*args, **kwargs):
+                raise np.linalg.LinAlgError("Singular matrix")
+
+            monkeypatch.setattr(np.linalg, "inv", fail)
+        assert np.array_equal(jac.normal_solve(alpha, res, offset), expected)
 
     def test_spectral_estimate_contraction(self):
         # ||(J*J + aI)^{-1} J*J|| <= 1 in the weighted operator norm
@@ -940,28 +999,58 @@ class TestRunFlow:
     @pytest.mark.parametrize("stepper", ["euler", "rk"])
     def test_factored_run_calls_no_svd(self, monkeypatch, stepper):
         # every gravimetry Jacobian is solved once, so a factored solve is
-        # the QR of its alpha's stack and nothing else is decomposed
-        svd = np.linalg.svd
-        calls = []
+        # the refined Gram solve of its alpha and nothing else is
+        # decomposed: no SVD in either run, building the rungs included,
+        # and, once a first run has cached the rungs' left factors, no QR
+        # of an n x m factor and no Elden fallback
+        svds, warm = [], []
 
-        def counted(*args, **kwargs):
-            calls.append(args[0].shape)
-            return svd(*args, **kwargs)
+        def counted(calls, name, original):
+            def call(*args, **kwargs):
+                calls.append((name, np.shape(args[0])))
+                return original(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "svd", counted)
+            return call
+
+        monkeypatch.setattr(np.linalg, "svd", counted(svds, "svd", np.linalg.svd))
         params = GravimetryParams(node_count=201, depth=2.0)
         model = CountingModel(GravimetryModel.synthetic(params))
         config = SolverConfig(stepper=stepper, tau=0.1, max_steps=500)
         report = run_flow(model, Exponential(0.1, 3.5), initial_guess(params), config)
         assert report.stop_reason == "alpha_floor" and report.steps_taken == 79
         assert model.linearizations > 79
-        assert calls == []
+        assert svds == []
+        monkeypatch.setattr(np.linalg, "qr", counted(warm, "qr", np.linalg.qr))
+        monkeypatch.setattr(
+            JacobianMatrix, "_elden_solve", counted(warm, "elden", JacobianMatrix._elden_solve)
+        )
+        model.linearizations = 0
+        report = run_flow(model, Exponential(0.1, 3.5), initial_guess(params), config)
+        assert report.stop_reason == "alpha_floor" and report.steps_taken == 79
+        assert model.linearizations > 79
+        assert svds == [] and warm == []
+
+    @pytest.mark.parametrize("stepper", ["euler", "rk"])
+    def test_run_below_the_floor_completes(self, stepper):
+        # 150 fixed steps end at alpha = 1.6e-24, far below the 1e-13 floor,
+        # where the refinement stops converging and the Elden fallback
+        # carries the run; accepting the unconverged refinement instead
+        # left the admissible domain at step 109 (Euler) and 107 (midpoint)
+        params = GravimetryParams(node_count=201)
+        config = SolverConfig(stepper=stepper, tau=0.1, max_steps=500, stop_rule=FixedSteps(150))
+        report = run_flow(
+            GravimetryModel.synthetic(params), Exponential(0.1, 3.5), initial_guess(params), config
+        )
+        assert report.stop_reason == "fixed_steps" and report.steps_taken == 150
+        assert report.trajectory[-1].alpha < 1e-23
 
     @pytest.mark.parametrize("stepper", ["euler", "rk"])
     def test_singular_solve_ends_run_in_band(self, monkeypatch, stepper):
+        # the inverse of the fast path and the Elden fallback both fail
         def singular(*args, **kwargs):
             raise np.linalg.LinAlgError("Singular matrix")
 
+        monkeypatch.setattr(np.linalg, "inv", singular)
         monkeypatch.setattr(np.linalg, "solve", singular)
         params = GravimetryParams(node_count=201)
         config = SolverConfig(stepper=stepper)
