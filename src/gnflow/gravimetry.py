@@ -37,6 +37,9 @@ INTERP_TOL = 1e-13
 # Grid rows, as fractions of the grid, where the interpolation is checked
 # against the exact kernel.
 _CHECK_FRACTIONS = np.linspace(0.0, 1.0, 11)[1:-1]
+# Rows of the dense kernel that `forward` fills at a time: the squared
+# distances and denominators of a block are its only temporaries.
+_BLOCK_ROWS = 16
 
 
 def _rungs(estimate: float, limit: int) -> Iterator[int]:
@@ -60,11 +63,13 @@ def _rungs(estimate: float, limit: int) -> Iterator[int]:
         k += 1
 
 
-def _squared_distances(points: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """(points_i - nodes_j)^2, read-only."""
-    d2 = (points[:, None] - nodes[None, :]) ** 2
-    d2.flags.writeable = False
-    return d2
+def _squared_distances(
+    points: np.ndarray, nodes: np.ndarray, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """(points_i - nodes_j)^2, written into `out` (a new array if None) with
+    no other temporary of its size."""
+    d2 = np.subtract.outer(points, nodes, out=out)
+    return np.square(d2, out=d2)
 
 
 class ChebyshevRows(NamedTuple):
@@ -151,7 +156,7 @@ class GravimetryParams:
             d2 = _squared_distances(points, nodes)
             numerator = np.log(d2 + self.depth**2) @ self.quadrature.weights
             check_left = left.matrix[check]
-            for a in (points, numerator, check_left):
+            for a in (points, d2, numerator, check_left):
                 a.flags.writeable = False
             cache[m] = ChebyshevRows(points, left, d2, numerator, check_left)
         return cache[m]
@@ -175,15 +180,18 @@ def _heights(x: np.ndarray, p: GravimetryParams) -> np.ndarray:
     return p.depth - x
 
 
-def _anomaly(d2: np.ndarray, den: np.ndarray, p: GravimetryParams) -> np.ndarray:
-    """Anomaly at the rows of the squared distances `d2`, from the kernel
-    denominator den = d2 + h^2 (left unchanged)."""
-    # In place where possible: each temporary is a fresh allocation, and at
-    # a few hundred KB each (n x n) they cost page faults on every call.
-    k = d2 + p.depth**2
-    k /= den
-    np.log(k, out=k)
-    return (p.density / (4.0 * np.pi)) * (k @ p.quadrature.weights)
+def _log_ratio(d2: np.ndarray, den: np.ndarray, p: GravimetryParams) -> np.ndarray:
+    """The kernel ln((d2 + H^2) / den), written over the squared distances
+    `d2`, for the kernel denominator den = d2 + h^2 (left unchanged)."""
+    d2 += p.depth**2
+    d2 /= den
+    return np.log(d2, out=d2)
+
+
+def _anomaly(kernel: np.ndarray, p: GravimetryParams) -> np.ndarray:
+    """Anomaly c (kernel @ w), c = rho / 4 pi, at the rows of the log-ratio
+    `kernel`."""
+    return (p.density / (4.0 * np.pi)) * (kernel @ p.quadrature.weights)
 
 
 def _frechet_entries(den: np.ndarray, h: np.ndarray, p: GravimetryParams) -> np.ndarray:
@@ -195,10 +203,12 @@ def _frechet_entries(den: np.ndarray, h: np.ndarray, p: GravimetryParams) -> np.
 def _kernels(
     d2: np.ndarray, h: np.ndarray, p: GravimetryParams
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Anomaly and Frechet entries at the rows of `d2`, sharing one
-    denominator."""
+    """Anomaly and Frechet entries at the rows of the writable squared
+    distances `d2`, which end up holding the log ratio.  The denominator
+    d2 + h^2 is the one other array of their size; the Frechet entries are
+    written over it."""
     den = d2 + h**2
-    return _anomaly(d2, den, p), _frechet_entries(den, h, p)
+    return _anomaly(_log_ratio(d2, den, p), p), _frechet_entries(den, h, p)
 
 
 def _row_kernels(
@@ -238,12 +248,23 @@ def _interpolates(rows: ChebyshevRows, g: np.ndarray, c: np.ndarray) -> bool:
 
 def forward(x: GridFunction, p: GravimetryParams) -> GridFunction:
     """Gravity anomaly produced by the interface x, by Simpson quadrature on
-    the dense n x n kernel (assembled here and dropped on return)."""
+    the dense n x n log-ratio kernel (assembled here and dropped on return).
+
+    The kernel is the one n x n array: it is filled _BLOCK_ROWS rows at a
+    time, with the squared distances and denominators of a block as
+    temporaries, and then multiplied by the weights in one matvec, which
+    keeps the anomaly bit-identical to the unblocked formula (a matvec per
+    block would sum in another order)."""
     if x.grid != p.grid:
         raise DomainError("interface profile is not sampled on the model grid")
-    h = _heights(x.values, p)
-    d2 = _squared_distances(p.grid.nodes, p.grid.nodes)
-    return GridFunction(p.grid, _anomaly(d2, d2 + h**2, p))
+    h2 = _heights(x.values, p) ** 2
+    nodes = p.grid.nodes
+    kernel = np.empty((p.node_count, p.node_count))
+    for start in range(0, p.node_count, _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        d2 = _squared_distances(nodes[rows], nodes, out=kernel[rows])
+        _log_ratio(d2, d2 + h2, p)
+    return GridFunction(p.grid, _anomaly(kernel, p))
 
 
 def frechet_matrix(x: GridFunction, p: GravimetryParams) -> JacobianMatrix:
@@ -252,20 +273,27 @@ def frechet_matrix(x: GridFunction, p: GravimetryParams) -> JacobianMatrix:
         J[i, j] = (rho / 4 pi) * w_j * 2 (H - x_j) / ((t_i - s_j)^2 + (H - x_j)^2).
 
     Entries are finite and positive whenever x < H.  Dense (n x n): the
-    exact matrix that `GravimetryModel.linearize` factors.
+    exact matrix that `GravimetryModel.linearize` factors.  It is assembled
+    in place in one n x n array (squared distances, plus h^2, divided into
+    the weighted heights), which is made read-only and handed to the
+    Jacobian as a view, uncopied.
     """
     if x.grid != p.grid:
         raise DomainError("interface profile is not sampled on the model grid")
     h = _heights(x.values, p)
-    d2 = _squared_distances(p.grid.nodes, p.grid.nodes)
-    return JacobianMatrix(_frechet_entries(d2 + h**2, h, p), p.quadrature)
+    den = _squared_distances(p.grid.nodes, p.grid.nodes)
+    den += h**2
+    j = _frechet_entries(den, h, p)
+    j.flags.writeable = False  # so that JacobianMatrix keeps the view j[:] uncopied
+    return JacobianMatrix(j[:], p.quadrature)
 
 
 def synthesize_data(p: GravimetryParams) -> GridFunction:
     """Noise-free anomaly for the benchmark interface, generated with the
     same grid and quadrature used for inversion (a deliberate inverse crime).
     It comes from the dense `forward`, so the model's interpolated residual
-    at the true interface is zero up to INTERP_TOL, not exactly."""
+    at the true interface is zero up to INTERP_TOL, not exactly; its peak
+    memory is the one n x n kernel array of `forward`."""
     x_true = true_interface(p)
     return forward(x_true, p)
 

@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass, field, fields
 from typing import Collection, Mapping, Optional, Sequence, Union
 
+from .errors import DomainError
 from .flow import (
     STEPPERS,
     OperatorModel,
@@ -251,15 +252,22 @@ def spec_from_config(config: dict) -> ExperimentSpec:
 
     Unknown keys are rejected, every field is type-checked, an absent key
     takes the default of its `ExperimentSpec` or `GravimetryParams` field,
-    and the problem and each run's `SolverConfig` are built here, so a
-    config the sweep cannot run raises ValueError (DomainError for an
-    inadmissible geometry) before any run starts.
+    and the problem's parameters and each run's `SolverConfig` are built
+    here, so a config the sweep cannot run raises ValueError before any run
+    starts: DomainError for a geometry in which the benchmark interface or
+    the initial guess is inadmissible.  No data is synthesized here.
     """
     config = _known_keys(_checked(config, "config", dict), "config", _CONFIG_KEYS)
     spec = ExperimentSpec(
         **{key: _CONFIG_FIELDS[key](config[key]) for key in _CONFIG_KEYS if key in config}
     )
-    build_problem(spec.problem)
+    if isinstance(spec.problem, GravimetryParams):
+        # the admissibility that building the problem would check, without
+        # synthesizing data that `run_table` synthesizes again
+        for x in (true_interface(spec.problem), initial_guess(spec.problem)):
+            reason = spec.problem.admissibility_violation(x.values)
+            if reason is not None:
+                raise DomainError(reason)
     return spec
 
 

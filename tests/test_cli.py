@@ -200,6 +200,28 @@ class TestTable:
         assert len(rows) == 3
         assert rows[0][0] == "schedule"
 
+    def test_table_synthesizes_data_once(self, monkeypatch, tmp_path):
+        # loading the config checks the geometry without synthesizing data,
+        # so the sweep's data is synthesized once, by the sweep
+        synthesize = gnflow.gravimetry.synthesize_data
+        calls = []
+
+        def counted(params):
+            calls.append(params)
+            return synthesize(params)
+
+        monkeypatch.setattr(gnflow.gravimetry, "synthesize_data", counted)
+        config = {
+            "problem": {"grid_n": 41},
+            "schedules": ["exp:alpha0=0.1,beta=3.5"],
+            "tau_values": [0.1],
+            "max_steps": 5,
+        }
+        cfg_path = tmp_path / "sweep.json"
+        cfg_path.write_text(json.dumps(config))
+        assert run_cli(["table", "--config", str(cfg_path), "--out", str(tmp_path / "t.csv")]) == 0
+        assert len(calls) == 1
+
     def test_missing_config_usage_error(self, tmp_path):
         rc = run_cli(["table", "--config", str(tmp_path / "nope.json")])
         assert rc == 2
@@ -241,6 +263,10 @@ class TestTable:
             (
                 {"schedules": ["invpow:alpha0=0.1,a=2,m=1,a=3"]},
                 "repeated parameter 'a' for family 'invpow'",
+            ),
+            (
+                {"problem": {"H": 1.0005, "epsilon": 0.001}},
+                "interface value 1 exceeds admissible ceiling depth - epsilon = 0.9995",
             ),
         ],
     )

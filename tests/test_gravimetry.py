@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -366,3 +367,87 @@ def test_factored_run_matches_dense_run(depth, stepper):
     assert factored.steps_taken == dense.steps_taken == 79
     assert factored.error_sup == pytest.approx(dense.error_sup, rel=1e-9)
     assert factored.discrepancy == pytest.approx(dense.discrepancy, rel=5e-9)
+
+
+def unblocked_kernels(x: np.ndarray, p: GravimetryParams) -> tuple[np.ndarray, np.ndarray]:
+    """Anomaly and Frechet matrix at the nodal values x by the unblocked
+    dense formulas, with the n x n squared distances, denominators and log
+    ratio each a whole array: the reference of the in-place assembly."""
+    h = p.depth - x
+    w = p.quadrature.weights
+    d2 = (p.grid.nodes[:, None] - p.grid.nodes[None, :]) ** 2
+    den = d2 + h**2
+    anomaly = (p.density / (4 * np.pi)) * (np.log((d2 + p.depth**2) / den) @ w)
+    return anomaly, (p.density / (2 * np.pi)) * h * w / den
+
+
+def random_interface(p: GravimetryParams) -> GridFunction:
+    """Seeded admissible interface, with nodal values anywhere in
+    [0, H - epsilon]."""
+    values = np.random.default_rng(23).uniform(0.0, p.depth - p.epsilon, p.node_count)
+    return GridFunction(p.grid, values)
+
+
+def traced_peak(call) -> int:
+    """Peak of the memory traced while `call()` runs, above what was traced
+    before it (numpy reports its array buffers to tracemalloc)."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+class TestDenseAssembly:
+    """The dense forward map, the Frechet matrix and the dense fallback of
+    `linearize` are assembled in place: bit for bit the unblocked formulas,
+    with fewer n x n arrays alive at once."""
+
+    @pytest.mark.parametrize("node_count", [201, 801])
+    @pytest.mark.parametrize("point", [true_interface, random_interface])
+    def test_forward_and_frechet_equal_unblocked_formulas(self, node_count, point):
+        p = GravimetryParams(node_count=node_count)
+        x = point(p)
+        anomaly, frechet = unblocked_kernels(x.values, p)
+        assert np.array_equal(forward(x, p).values, anomaly)
+        assert np.array_equal(frechet_matrix(x, p).matrix, frechet)
+
+    @pytest.mark.parametrize(("node_count", "depth"), [(201, 1.1), (801, 1.05)])
+    @pytest.mark.parametrize("point", [true_interface, random_interface])
+    def test_dense_fallback_equals_unblocked_formulas(self, node_count, depth, point):
+        # at these depths the Chebyshev rows would exceed half the grid, so
+        # linearize assembles the dense kernel (identity left factor)
+        p = GravimetryParams(node_count=node_count, depth=depth)
+        x = point(p).values
+        res, jac = GravimetryModel.synthetic(p).linearize(x)
+        assert jac.left is None
+        anomaly, frechet = unblocked_kernels(x, p)
+        data, _ = unblocked_kernels(true_interface(p).values, p)
+        assert np.array_equal(res, anomaly - data)
+        assert np.array_equal(jac.matrix, frechet)
+
+    def test_forward_and_frechet_hold_one_square_array(self):
+        # measured at n = 801: 1.03 and 1.13 arrays of n x n floats (the
+        # Jacobian's n x n boolean finiteness mask is the 0.125); the
+        # unblocked formulas peak at 3.00 and 3.13
+        p = GravimetryParams(node_count=801)
+        x = true_interface(p)
+        square = 8 * p.node_count**2
+        assert traced_peak(lambda: forward(x, p)) < 1.25 * square
+        assert traced_peak(lambda: frechet_matrix(x, p)) < 1.25 * square
+
+    def test_dense_fallback_holds_two_square_arrays(self):
+        # the log ratio and the denominator that becomes the Jacobian:
+        # measured 2.22 arrays of n x n floats at n = 201, 0.20 of it a
+        # fixed 64 KB ufunc buffer; three arrays peaked at 3.02
+        p = GravimetryParams(node_count=201, depth=1.1)
+        model = GravimetryModel.synthetic(p)
+        x = initial_guess(p).values
+        assert model.linearize(x).jacobian.left is None  # warm: the rank estimate and caches
+        assert traced_peak(lambda: model.linearize(x)) < 2.25 * 8 * p.node_count**2
