@@ -34,54 +34,43 @@ ALPHA_FLOOR = 1e-13
 @dataclass(frozen=True)
 class LeftFactor:
     """Left factor L (n x m, m < n) of a factored Jacobian J = L C, with the
-    thin QR S L = Q R, S = diag(sqrt(w)), that the normal solve reads, the
-    m x m identity that shifts its Gram matrix by alpha, and the
-    lower-triangle mask of the raw QRs of its Elden fallback.  Fixed per
+    thin QR S L = Q R, S = diag(sqrt(w)), that the normal solve reads, and
+    the m x m identity that shifts its Gram matrix by alpha.  Fixed per
     grid, so it is built once and shared."""
 
     matrix: np.ndarray
     q: np.ndarray
     r: np.ndarray
     identity: np.ndarray
-    lower: np.ndarray
 
     @classmethod
     def of(cls, matrix: np.ndarray, quadrature: QuadratureWeights) -> LeftFactor:
         matrix = np.array(matrix, dtype=float)
         q, r = np.linalg.qr(quadrature.sqrt_weights[:, None] * matrix)
-        identity, lower = np.eye(r.shape[0]), np.tri(r.shape[0])
-        for a in (matrix, q, r, identity, lower):
+        identity = np.eye(r.shape[0])
+        for a in (matrix, q, r, identity):
             a.flags.writeable = False
-        return cls(matrix, q, r, identity, lower)
-
-    def triangle(self, a: np.ndarray) -> np.ndarray:
-        """R_a^T, lower triangular, of the R-only QR a = Q_a R_a of an a with
-        m columns, read from numpy's raw QR: its h holds R_a^T in the lower
-        triangle of its first m columns, and Householder vectors above."""
-        h, _ = np.linalg.qr(a, mode="raw")
-        return h[:, : self.lower.shape[0]] * self.lower
+        return cls(matrix, q, r, identity)
 
 
 # Iterative refinement of a factored solve stops once a correction moves the
-# step by at most REFINE_TOL of its norm, and hands over to the Elden solve
+# step by at most REFINE_TOL of its norm, and hands over to the SVD solve
 # when a correction does not shrink or REFINE_STEPS corrections pass.
 REFINE_TOL = 1e-10
 REFINE_STEPS = 8
 
 
 class _Decomposition(NamedTuple):
-    """What every `normal_solve` on one Jacobian shares, whatever its alpha.
-    For a factored J = L C, only `gram`, G = R (C W^-1 C^T) R^T = M M^T
-    (m x m), with M = R C S^-1, S = diag(sqrt(w)).  For L = I, where
-    M = S C S^-1 = U Sigma V^T is square, the squared singular values
-    sigma^2 and the three n x n factors of the solve: Sigma V^T S, U^T S
-    and S^-1 V Sigma."""
+    """The thin SVD M = U Sigma V^T of the m x n (or n x n) middle factor
+    of B = S J S^-1 = Q M, S = diag(sqrt(w)), with M = R C S^-1 for a
+    factored J = L C and M = S C S^-1, Q = I for L = I: the squared singular
+    values sigma^2 and the three scaled factors of the solve, Sigma V^T S,
+    (Q U)^T S and S^-1 V Sigma."""
 
-    gram: Optional[np.ndarray] = None
-    sigma_squared: Optional[np.ndarray] = None
-    sigma_vt_s: Optional[np.ndarray] = None
-    ut_s: Optional[np.ndarray] = None
-    v_sigma_over_s: Optional[np.ndarray] = None
+    sigma_squared: np.ndarray
+    sigma_vt_s: np.ndarray
+    qu_t_s: np.ndarray
+    v_sigma_over_s: np.ndarray
 
 
 def _frozen_view(a: np.ndarray) -> bool:
@@ -135,42 +124,39 @@ class JacobianMatrix:
 
     @cached_property
     def decomposition(self) -> _Decomposition:
-        """The alpha-independent part of the normal solve, computed on first
-        use and shared by every `normal_solve` on this Jacobian.
+        """The SVD of M, computed on first use and shared by every
+        `normal_solve` on this Jacobian that reads it, whatever its alpha.
 
-        B = S J S^{-1} = Q M with Q orthonormal columns.  For a factored J
-        it is the Gram matrix G = R (C W^{-1} C^T) R^T = M M^T, one O(m^2 n)
-        product with no QR and no SVD, and without forming M: each
-        gravimetry Jacobian is solved once, so nothing is prepared for other
-        alphas.  For L = I, M is square and its SVD M = U Sigma V^T is taken
-        directly and kept in the scaled factors Sigma V^T S, U^T S and
-        S^{-1} V Sigma, O(n^2) once per Jacobian, so that a solve applies M
+        B = S J S^{-1} = Q M with Q orthonormal columns, M = R (C / s) for a
+        factored J (O(m^2 n)) and M = S C S^{-1}, Q = I for L = I (O(n^3)).
+        The thin SVD M = U Sigma V^T is kept in the scaled factors
+        Sigma V^T S, (Q U)^T S and S^{-1} V Sigma, so that a solve applies M
         through them and never through C; the certified model solves one
-        such Jacobian thousands of times.
+        such Jacobian thousands of times.  A factored J reads it only when
+        the refined Gram solve fails, below alpha of about 1e-16.
         """
         s = self.quadrature.sqrt_weights
-        if self.left is not None:
-            x = self.matrix / s
-            return _Decomposition(self.left.r @ (x @ x.T) @ self.left.r.T)
-        square = self.matrix * s[:, None]
-        square /= s[None, :]
+        if self.left is None:
+            square = self.matrix * s[:, None]
+            square /= s[None, :]
+        else:
+            square = self.left.r @ (self.matrix / s)
         try:
-            u, sigma, vt = np.linalg.svd(square)
+            u, sigma, vt = np.linalg.svd(square, full_matrices=False)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"decomposition of the Jacobian failed: {exc}") from exc
+        qu = u if self.left is None else self.left.q @ u
         sigma_vt = sigma[:, None] * vt
-        return _Decomposition(None, sigma**2, sigma_vt * s, u.T * s, (sigma_vt / s).T)
+        return _Decomposition(sigma**2, sigma_vt * s, qu.T * s, (sigma_vt / s).T)
 
     @cached_property
-    def elden_factor(self) -> np.ndarray:
-        """K = R R3^T (m x m) of a factored J, from the R-only QR
-        (C S^{-1})^T = Q3 R3, so that M = K Q3^T and K K^T = G, at
-        O(m^2 n).  Only the Elden fallback of `normal_solve` reads it, so it
-        is computed on first use by that fallback."""
-        try:
-            return self.left.r @ self.left.triangle((self.matrix / self.quadrature.sqrt_weights).T)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"decomposition of the Jacobian failed: {exc}") from exc
+    def gram(self) -> np.ndarray:
+        """G = R (C W^{-1} C^T) R^T = M M^T (m x m) of a factored J, one
+        O(m^2 n) product with no QR and no SVD, and without forming M: each
+        gravimetry Jacobian is solved once, so nothing is prepared for other
+        alphas.  Only the refined Gram solve reads it."""
+        x = self.matrix / self.quadrature.sqrt_weights
+        return self.left.r @ (x @ x.T) @ self.left.r.T
 
     def _lift(self, z: np.ndarray) -> np.ndarray:
         """S^{-1} M^T z = C^T (R^T z) / w for a factored J, O(mn)."""
@@ -186,7 +172,7 @@ class JacobianMatrix:
         rounding in G and P slows convergence but does not bias y."""
         left = self.left
         try:
-            p = np.linalg.inv(self.decomposition.gram + alpha * left.identity)
+            p = np.linalg.inv(self.gram + alpha * left.identity)
         except np.linalg.LinAlgError:
             return None
         z = p @ f
@@ -207,19 +193,6 @@ class JacobianMatrix:
             last = step
         return None
 
-    def _elden_solve(self, alpha: float, f: np.ndarray) -> np.ndarray:
-        """y = S^{-1} M^T z with (K K^T + alpha I) z = f from the R-only QR
-        of the 2m x m stack [K^T; sqrt(alpha) I] = Q_A T, T^T T = K K^T +
-        alpha I, and two m x m solves (Elden, BIT 17, 1977)."""
-        left = self.left
-        k = self.elden_factor
-        try:
-            t_lower = left.triangle(np.concatenate((k.T, math.sqrt(alpha) * left.identity)))
-            z = np.linalg.solve(t_lower.T, np.linalg.solve(t_lower, f))
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"normal-equation solve failed: {exc}") from exc
-        return self._lift(z)
-
     def normal_solve(self, alpha: float, residual: np.ndarray, offset: np.ndarray) -> np.ndarray:
         """d with (J* J + alpha I) d = -(J* residual + alpha offset), from the
         cached `decomposition` and without forming that right-hand side or
@@ -231,29 +204,29 @@ class JacobianMatrix:
         the Tikhonov form of the step (Elden, BIT 17, 1977), whose rounding
         is not divided by alpha.  For a factored J, M M^T = G, and
         M e = R (C offset) and S^{-1} M^T z = C^T (R^T z) / w are applied
-        through the factors.  The fast path, like LAPACK's dsgesv, inverts
+        through the factors.  Its fast path, like LAPACK's dsgesv, inverts
         G + alpha I once and refines z against the factors until a
         correction moves S^{-1} M^T z by at most REFINE_TOL relative,
-        O(m^3 + mn) per solve; if `inv` fails, a correction does not shrink
-        or REFINE_STEPS corrections pass, as happens below alpha of about
-        1e-16, the Elden solve through `elden_factor` takes over.  For
-        L = I, M = U Sigma V^T gives U^T f = (Sigma V^T S) offset - (U^T S)
-        residual and S^{-1} M^T U = S^{-1} V Sigma, three n x n products from
-        the cached factors.  A non-finite or nonpositive alpha, a failed
+        O(m^3 + mn) per solve.  If `inv` fails, a correction does not
+        shrink or REFINE_STEPS corrections pass, as happens below alpha of
+        about 1e-16, and always for L = I, the SVD M = U Sigma V^T gives
+        U^T f = (Sigma V^T S) offset - ((Q U)^T S) residual and
+        S^{-1} M^T U = S^{-1} V Sigma, three products from the cached
+        `decomposition`.  A non-finite or nonpositive alpha, a failed
         factorization and a non-finite d raise NumericalError.
         """
         if not 0 < alpha < math.inf:
             raise NumericalError(f"normal equations need 0 < alpha < inf, got {alpha}")
-        _, sigma_squared, sigma_vt_s, ut_s, v_sigma_over_s = self.decomposition
         left = self.left
-        if left is None:
-            d = v_sigma_over_s @ ((sigma_vt_s @ offset - ut_s @ residual) / (sigma_squared + alpha))
-        else:
+        d = None
+        if left is not None:
             f = left.r @ (self.matrix @ offset)
             f -= left.q.T @ (self.quadrature.sqrt_weights * residual)
             d = self._refined_solve(alpha, f)
-            if d is None:
-                d = self._elden_solve(alpha, f)
+        if d is None:
+            sigma_squared, sigma_vt_s, qu_t_s, v_sigma_over_s = self.decomposition
+            u_t_f = sigma_vt_s @ offset - qu_t_s @ residual
+            d = v_sigma_over_s @ (u_t_f / (sigma_squared + alpha))
         d -= offset
         if not np.isfinite(d).all():
             raise NumericalError("normal-equation solve produced non-finite values")

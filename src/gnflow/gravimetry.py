@@ -200,17 +200,6 @@ def _frechet_entries(den: np.ndarray, h: np.ndarray, p: GravimetryParams) -> np.
     return np.divide((p.density / (2.0 * np.pi)) * h * p.quadrature.weights, den, out=den)
 
 
-def _kernels(
-    d2: np.ndarray, h: np.ndarray, p: GravimetryParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """Anomaly and Frechet entries at the rows of the writable squared
-    distances `d2`, which end up holding the log ratio.  The denominator
-    d2 + h^2 is the one other array of their size; the Frechet entries are
-    written over it."""
-    den = d2 + h**2
-    return _anomaly(_log_ratio(d2, den, p), p), _frechet_entries(den, h, p)
-
-
 def _row_kernels(
     rows: ChebyshevRows, h: np.ndarray, p: GravimetryParams
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -246,25 +235,43 @@ def _interpolates(rows: ChebyshevRows, g: np.ndarray, c: np.ndarray) -> bool:
     )
 
 
-def forward(x: GridFunction, p: GravimetryParams) -> GridFunction:
-    """Gravity anomaly produced by the interface x, by Simpson quadrature on
-    the dense n x n log-ratio kernel (assembled here and dropped on return).
+def _dense_anomaly(h: np.ndarray, p: GravimetryParams) -> np.ndarray:
+    """The anomaly at heights h = H - x by Simpson quadrature on the dense
+    n x n log-ratio kernel (assembled here and dropped on return).
 
     The kernel is the one n x n array: it is filled _BLOCK_ROWS rows at a
     time, with the squared distances and denominators of a block as
     temporaries, and then multiplied by the weights in one matvec, which
     keeps the anomaly bit-identical to the unblocked formula (a matvec per
     block would sum in another order)."""
-    if x.grid != p.grid:
-        raise DomainError("interface profile is not sampled on the model grid")
-    h2 = _heights(x.values, p) ** 2
+    h2 = h**2
     nodes = p.grid.nodes
     kernel = np.empty((p.node_count, p.node_count))
     for start in range(0, p.node_count, _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
         d2 = _squared_distances(nodes[rows], nodes, out=kernel[rows])
         _log_ratio(d2, d2 + h2, p)
-    return GridFunction(p.grid, _anomaly(kernel, p))
+    return _anomaly(kernel, p)
+
+
+def _dense_frechet(h: np.ndarray, p: GravimetryParams) -> JacobianMatrix:
+    """The dense Jacobian at heights h = H - x, assembled in place in one
+    n x n array (squared distances, plus h^2, divided into the weighted
+    heights), which is made read-only and handed to the Jacobian as a
+    view, uncopied."""
+    den = _squared_distances(p.grid.nodes, p.grid.nodes)
+    den += h**2
+    j = _frechet_entries(den, h, p)
+    j.flags.writeable = False  # so that JacobianMatrix keeps the view j[:] uncopied
+    return JacobianMatrix(j[:], p.quadrature)
+
+
+def forward(x: GridFunction, p: GravimetryParams) -> GridFunction:
+    """Gravity anomaly produced by the interface x, by Simpson quadrature on
+    the dense n x n log-ratio kernel, one n x n array."""
+    if x.grid != p.grid:
+        raise DomainError("interface profile is not sampled on the model grid")
+    return GridFunction(p.grid, _dense_anomaly(_heights(x.values, p), p))
 
 
 def frechet_matrix(x: GridFunction, p: GravimetryParams) -> JacobianMatrix:
@@ -273,19 +280,12 @@ def frechet_matrix(x: GridFunction, p: GravimetryParams) -> JacobianMatrix:
         J[i, j] = (rho / 4 pi) * w_j * 2 (H - x_j) / ((t_i - s_j)^2 + (H - x_j)^2).
 
     Entries are finite and positive whenever x < H.  Dense (n x n): the
-    exact matrix that `GravimetryModel.linearize` factors.  It is assembled
-    in place in one n x n array (squared distances, plus h^2, divided into
-    the weighted heights), which is made read-only and handed to the
-    Jacobian as a view, uncopied.
+    exact matrix that `GravimetryModel.linearize` factors, assembled in one
+    n x n array that the Jacobian keeps uncopied.
     """
     if x.grid != p.grid:
         raise DomainError("interface profile is not sampled on the model grid")
-    h = _heights(x.values, p)
-    den = _squared_distances(p.grid.nodes, p.grid.nodes)
-    den += h**2
-    j = _frechet_entries(den, h, p)
-    j.flags.writeable = False  # so that JacobianMatrix keeps the view j[:] uncopied
-    return JacobianMatrix(j[:], p.quadrature)
+    return _dense_frechet(_heights(x.values, p), p)
 
 
 def synthesize_data(p: GravimetryParams) -> GridFunction:
@@ -338,11 +338,13 @@ class GravimetryModel(OperatorModel):
         Chebyshev rows: the anomaly g_c and C are evaluated there, and the
         residual is P g_c - y.  m is the first of `_rungs` for the a-priori
         estimate whose interpolation passes the check nodes, which the same
-        kernel pass evaluates exactly; once 2m > n the kernel is assembled
-        densely and the left factor is the identity.  Either kernel array is
-        made read-only and handed over as a view, which the Jacobian keeps
-        without a copy.  Raises DomainError for an x above the admissible
-        ceiling."""
+        kernel pass evaluates exactly; the kernel array is made read-only
+        and handed over as a view, which the Jacobian keeps without a copy.
+        Once 2m > n the residual is the anomaly of `forward` less the data
+        and the Jacobian that of `frechet_matrix`, dense with the identity
+        left factor, from the same assembly at the heights checked once
+        here, one n x n array alive at a time.  Raises DomainError for an x
+        above the admissible ceiling."""
         p = self.params
         h = _heights(x, p)
         for m in _rungs(_rank_estimate(h, p), p.node_count // 2):
@@ -353,6 +355,4 @@ class GravimetryModel(OperatorModel):
                 res = rows.left.matrix @ g[:m]
                 res -= self.data.values
                 return Linearization(res, JacobianMatrix(c[:m], p.quadrature, rows.left))
-        g, j = _kernels(_squared_distances(p.grid.nodes, p.grid.nodes), h, p)
-        j.flags.writeable = False  # so that JacobianMatrix keeps the view j[:] uncopied
-        return Linearization(g - self.data.values, JacobianMatrix(j[:], p.quadrature))
+        return Linearization(_dense_anomaly(h, p) - self.data.values, _dense_frechet(h, p))

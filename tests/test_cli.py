@@ -83,14 +83,14 @@ class TestSolve:
         assert row[1:3] == [schedule, "0.1234567"]
 
     def test_singular_solve_is_reported_in_the_row(self, monkeypatch, capsys):
-        # a failed inverse and a failed triangular solve of the Elden
-        # fallback end the run in band: the row says so and the command
-        # exits 0, with no traceback, as for any diverged run
+        # a failed inverse and a failed SVD of the fallback end the run in
+        # band: the row says so and the command exits 0, with no traceback,
+        # as for any diverged run
         def singular(*args, **kwargs):
             raise np.linalg.LinAlgError("Singular matrix")
 
         monkeypatch.setattr(np.linalg, "inv", singular)
-        monkeypatch.setattr(np.linalg, "solve", singular)
+        monkeypatch.setattr(np.linalg, "svd", singular)
         rc = run_cli(
             ["solve", "--schedule", "exp:alpha0=0.1,beta=3.5", "--grid-n", "201",
              "--max-steps", "5"]
@@ -99,7 +99,7 @@ class TestSolve:
         assert rc == 0 and err == ""
         row = next(csv.reader(out.splitlines()[1:]))
         assert row[3] == "0" and row[7] == "1"
-        assert row[8] == "diverged: normal-equation solve failed: Singular matrix"
+        assert row[8] == "diverged: decomposition of the Jacobian failed: Singular matrix"
 
     def test_malformed_schedule_usage_error(self, capsys):
         rc = run_cli(["solve", "--schedule", "exp:alpha0=0.1"])

@@ -109,20 +109,6 @@ def random_jacobian(rng, n=None, l=None) -> JacobianMatrix:
     return JacobianMatrix(rng.uniform(-1, 1, size=(n, n)), simpson_weights(grid))
 
 
-def elden_solve(jac: JacobianMatrix, alpha: float, residual, offset) -> np.ndarray:
-    """The factored normal solve by Elden's method alone: the R-only QR of
-    the stack [K^T; sqrt(alpha) I] = Q_A T and two solves with T."""
-    left, w = jac.left, jac.quadrature.weights
-    f = left.r @ (jac.matrix @ offset)
-    f -= left.q.T @ (jac.quadrature.sqrt_weights * residual)
-    t_lower = left.triangle(np.concatenate((jac.elden_factor.T, math.sqrt(alpha) * left.identity)))
-    z = np.linalg.solve(t_lower.T, np.linalg.solve(t_lower, f))
-    d = jac.matrix.T @ (left.r.T @ z)
-    d /= w
-    d -= offset
-    return d
-
-
 def weighted_operator_norm(mat: np.ndarray, weights: np.ndarray) -> float:
     s = np.sqrt(weights)
     return float(np.linalg.norm((mat * s[:, None]) / s[None, :], ord=2))
@@ -167,10 +153,10 @@ class TestJacobianMatrix:
         # rounding by alpha misses it by up to 2.1e-4 at alpha = 1e-13.
         # Below the floor the bound scales as 2e-9 sqrt(1e-13 / alpha); the
         # refinement of the factored solve stops converging near 1e-16 and
-        # the Elden fallback takes over.  Measured worst cases at one
-        # OpenBLAS thread: 8.6e-10 at 1e-14, 2.1e-9 at 1e-15, 6.0e-9 at
-        # 1e-16, 8.3e-8 at 1e-18 and 1.6e-4 at 1e-24 (n = 801, H = 1.1, at
-        # x0), a margin of 4x or more.
+        # the SVD solve takes over.  Measured worst cases at one OpenBLAS
+        # thread: 8.8e-10 at 1e-14, 2.4e-9 at 1e-15, 1.1e-8 at 1e-16,
+        # 1.3e-7 at 1e-18 and 1.6e-4 at 1e-24 (n = 801, H = 1.1, at x0), a
+        # margin of 4x or more.
         rng = np.random.default_rng(25)
         for node_count in (201, 801):
             for depth in (2.0, 1.5, 1.1):
@@ -220,9 +206,10 @@ class TestJacobianMatrix:
 
     @pytest.mark.parametrize("case", ["factored", "dense", "diagonal"])
     def test_repeated_solves_match_fresh_jacobians(self, case):
-        # one Jacobian object decomposes once and serves every alpha (K for
-        # a factored Jacobian, the SVD factors for an identity left factor);
-        # each of its solves equals the solve on a freshly built Jacobian
+        # one Jacobian object decomposes once and serves every alpha (the
+        # Gram matrix for a factored Jacobian, the SVD factors for an
+        # identity left factor); each of its solves equals the solve on a
+        # freshly built Jacobian
         if case == "diagonal":
             model = certified_diagonal_instance().model
             x = model.solution
@@ -248,7 +235,10 @@ class TestJacobianMatrix:
             assert other is not jac
             d = jac.normal_solve(alpha, residual, offset)
             assert np.array_equal(d, other.normal_solve(alpha, residual, offset))
-        assert jac.decomposition is jac.decomposition
+        if case == "factored":
+            assert jac.gram is jac.gram
+        else:
+            assert jac.decomposition is jac.decomposition
 
     def test_non_finite_rejected(self):
         grid = Grid(1.0, 3)
@@ -276,21 +266,21 @@ class TestJacobianMatrix:
         assert jac.left is not None and not jac.matrix.flags.owndata
 
     def test_dense_fallback_keeps_its_kernel_array(self, monkeypatch):
-        # at n = 201, H = 1.1 linearize assembles the n x n Frechet array,
-        # which the Jacobian keeps as a read-only view instead of a copy
-        kernels = gravimetry._kernels
+        # at n = 201, H = 1.1 linearize returns `frechet_matrix`, whose
+        # n x n Frechet array, the last entries written, the Jacobian keeps
+        # as a read-only view instead of a copy
+        entries = gravimetry._frechet_entries
         built = []
 
         def recorded(*args):
-            g, j = kernels(*args)
-            built.append(j)
-            return g, j
+            built.append(entries(*args))
+            return built[-1]
 
-        monkeypatch.setattr(gravimetry, "_kernels", recorded)
+        monkeypatch.setattr(gravimetry, "_frechet_entries", recorded)
         params = GravimetryParams(node_count=201, depth=1.1)
         res, jac = GravimetryModel.synthetic(params).linearize(initial_guess(params).values)
-        assert jac.left is None and len(built) == 1
-        assert np.shares_memory(jac.matrix, built[0]) and not jac.matrix.flags.writeable
+        assert jac.left is None and built[-1].shape == (201, 201)
+        assert np.shares_memory(jac.matrix, built[-1]) and not jac.matrix.flags.writeable
 
     def test_read_only_factor_with_nan_rejected(self):
         params = GravimetryParams(node_count=201)
@@ -309,42 +299,42 @@ class TestJacobianMatrix:
         with pytest.raises(NumericalError, match="^normal equations need 0 < alpha < inf"):
             jac.normal_solve(alpha, res, np.zeros(201))
 
-    @pytest.mark.parametrize(
-        "broken, factored_first, message",
-        [
-            ("qr", False, "decomposition of the Jacobian failed"),
-            ("qr", True, "normal-equation solve failed"),
-            ("solve", True, "normal-equation solve failed"),
-        ],
-    )
-    def test_factored_breakdown_raises_numerical_error(
-        self, monkeypatch, broken, factored_first, message
-    ):
-        # once the inverse of the fast path fails, a LinAlgError of the Elden
-        # fallback, from the QR of (C S^-1)^T, from the QR of the stack or
-        # from a triangular solve, is a NumericalError, which run_flow
-        # reports in band
+    @pytest.mark.parametrize("alpha, inverse", [(1e-3, "fails"), (1e-3, "nan"), (1e-24, "kept")])
+    def test_factored_breakdown_raises_numerical_error(self, monkeypatch, alpha, inverse):
+        # once the fast path hands over, because its inverse fails, because a
+        # NaN inverse stalls the refinement or because the refinement does
+        # not converge as at alpha = 1e-24, a LinAlgError of the SVD solve is
+        # a NumericalError, which run_flow reports in band
         params = GravimetryParams(node_count=201)
         res, jac = GravimetryModel.synthetic(params).linearize(initial_guess(params).values)
-        if factored_first:
-            jac.elden_factor
 
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("Singular matrix")
 
-        monkeypatch.setattr(np.linalg, "inv", fail)
-        monkeypatch.setattr(np.linalg, broken, fail)
-        with pytest.raises(NumericalError, match=f"^{message}: Singular matrix$"):
-            jac.normal_solve(1e-3, res, np.zeros(201))
+        if inverse == "fails":
+            monkeypatch.setattr(np.linalg, "inv", fail)
+        elif inverse == "nan":
+            monkeypatch.setattr(np.linalg, "inv", lambda a: np.full_like(a, np.nan))
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        with pytest.raises(
+            NumericalError, match="^decomposition of the Jacobian failed: Singular matrix$"
+        ):
+            jac.normal_solve(alpha, res, np.zeros(201))
 
     @pytest.mark.parametrize("alpha, inv_fails", [(1e-3, True), (1e-13, True), (1e-24, False)])
-    def test_factored_fallback_is_the_elden_solve(self, monkeypatch, alpha, inv_fails):
+    def test_factored_fallback_is_the_svd_solve(self, monkeypatch, alpha, inv_fails):
         # a failing inverse, or a refinement that does not converge as at
-        # alpha = 1e-24, hands the solve to Elden's, bit for bit
+        # alpha = 1e-24, hands the solve to the thin SVD
+        # M = R C S^-1 = U Sigma V^T, bit for bit:
+        # d = (S^-1 V Sigma) [((Sigma V^T S) offset - ((Q U)^T S) res) / (sigma^2 + alpha)] - offset
         params = GravimetryParams(node_count=201)
         res, jac = GravimetryModel.synthetic(params).linearize(initial_guess(params).values)
         offset = np.random.default_rng(73).standard_normal(201)
-        expected = elden_solve(jac, alpha, res, offset)
+        left, s = jac.left, jac.quadrature.sqrt_weights
+        u, sigma, vt = np.linalg.svd(left.r @ (jac.matrix / s), full_matrices=False)
+        sigma_vt = sigma[:, None] * vt
+        f = (sigma_vt * s) @ offset - ((left.q @ u).T * s) @ res
+        expected = (sigma_vt / s).T @ (f / (sigma**2 + alpha)) - offset
         if inv_fails:
             def fail(*args, **kwargs):
                 raise np.linalg.LinAlgError("Singular matrix")
@@ -1000,9 +990,9 @@ class TestRunFlow:
     def test_factored_run_calls_no_svd(self, monkeypatch, stepper):
         # every gravimetry Jacobian is solved once, so a factored solve is
         # the refined Gram solve of its alpha and nothing else is
-        # decomposed: no SVD in either run, building the rungs included,
-        # and, once a first run has cached the rungs' left factors, no QR
-        # of an n x m factor and no Elden fallback
+        # decomposed: no SVD in either run, building the rungs included, so
+        # no SVD fallback, and, once a first run has cached the rungs' left
+        # factors, no QR of an n x m factor
         svds, warm = [], []
 
         def counted(calls, name, original):
@@ -1021,9 +1011,6 @@ class TestRunFlow:
         assert model.linearizations > 79
         assert svds == []
         monkeypatch.setattr(np.linalg, "qr", counted(warm, "qr", np.linalg.qr))
-        monkeypatch.setattr(
-            JacobianMatrix, "_elden_solve", counted(warm, "elden", JacobianMatrix._elden_solve)
-        )
         model.linearizations = 0
         report = run_flow(model, Exponential(0.1, 3.5), initial_guess(params), config)
         assert report.stop_reason == "alpha_floor" and report.steps_taken == 79
@@ -1033,7 +1020,7 @@ class TestRunFlow:
     @pytest.mark.parametrize("stepper", ["euler", "rk"])
     def test_run_below_the_floor_completes(self, stepper):
         # 150 fixed steps end at alpha = 1.6e-24, far below the 1e-13 floor,
-        # where the refinement stops converging and the Elden fallback
+        # where the refinement stops converging and the SVD fallback
         # carries the run; accepting the unconverged refinement instead
         # left the admissible domain at step 109 (Euler) and 107 (midpoint)
         params = GravimetryParams(node_count=201)
@@ -1046,19 +1033,21 @@ class TestRunFlow:
 
     @pytest.mark.parametrize("stepper", ["euler", "rk"])
     def test_singular_solve_ends_run_in_band(self, monkeypatch, stepper):
-        # the inverse of the fast path and the Elden fallback both fail
+        # the inverse of the fast path and the SVD of the fallback both fail
         def singular(*args, **kwargs):
             raise np.linalg.LinAlgError("Singular matrix")
 
         monkeypatch.setattr(np.linalg, "inv", singular)
-        monkeypatch.setattr(np.linalg, "solve", singular)
+        monkeypatch.setattr(np.linalg, "svd", singular)
         params = GravimetryParams(node_count=201)
         config = SolverConfig(stepper=stepper)
         report = run_flow(
             GravimetryModel.synthetic(params), Exponential(0.1, 3.5), initial_guess(params), config
         )
         assert report.diverged and report.steps_taken == 0
-        assert report.stop_reason == "diverged: normal-equation solve failed: Singular matrix"
+        assert report.stop_reason == (
+            "diverged: decomposition of the Jacobian failed: Singular matrix"
+        )
 
     def test_certified_midpoint_run_factors_once(self, monkeypatch):
         # the diagonal model's Jacobian is one object per model, so the one
