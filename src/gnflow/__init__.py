@@ -63,11 +63,9 @@ from .gravimetry import (
 from .grids import (
     Grid,
     GridFunction,
-    QuadratureWeights,
     inner_product,
     integrate,
     l2_norm,
-    simpson_weights,
     sup_norm,
 )
 from .harness import (

@@ -136,7 +136,8 @@ def _cmd_solve(args) -> int:
             csv.writer(sys.stdout).writerows(rows)
         if args.trajectory:
             trajectory_export(report, args.trajectory)
-    # ValueError: a non-finite linearization at x0, or a NUL byte in a path
+    # ValueError: a non-finite linearization or discrepancy at x0, or a NUL
+    # byte in a path
     except (ValueError, NumericalError, OSError) as exc:
         return _fail(str(exc), RUNTIME_ERROR)
     return 0

@@ -5,10 +5,10 @@ discrete L2 spaces by integrating
 
     dx/dt = -(J* J + alpha(t) I)^{-1} (J* phi(x) + alpha(t) (x - x0)),
 
-where J = phi'(x) and J* is the adjoint with respect to the quadrature
-weights.  With step size tau = 1 the Euler stepper reproduces the damped
-(iteratively regularized) Gauss-Newton iteration; as alpha(t) decays the
-trajectory approaches a solution of phi(x) = 0.
+where J = phi'(x) and J* is the adjoint with respect to the Simpson
+weights of the model grid.  With step size tau = 1 the Euler stepper
+reproduces the damped (iteratively regularized) Gauss-Newton iteration; as
+alpha(t) decays the trajectory approaches a solution of phi(x) = 0.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Literal, NamedTuple, Optional, get_args
 import numpy as np
 
 from .errors import DomainError, GridMismatchError, NonFiniteValueError, NumericalError
-from .grids import Grid, GridFunction, QuadratureWeights, _check_integer, _finite, l2_norm_values
+from .grids import Grid, GridFunction, _check_integer, _finite, l2_norm_values
 from .grids import l2_norm  # unused here: perfbench's traced run wraps flow.l2_norm
 from .schedules import Schedule, format_number
 
@@ -34,23 +34,20 @@ ALPHA_FLOOR = 1e-13
 @dataclass(frozen=True)
 class LeftFactor:
     """Left factor L (n x m, m < n) of a factored Jacobian J = L C, with the
-    thin QR S L = Q R, S = diag(sqrt(w)), that the normal solve reads, and
-    the m x m identity that shifts its Gram matrix by alpha.  Fixed per
-    grid, so it is built once and shared."""
+    thin QR S L = Q R, S = diag(sqrt(w)) from the weights of `grid`, that
+    the normal solve reads.  Fixed per grid, so it is built once and shared."""
 
     matrix: np.ndarray
     q: np.ndarray
     r: np.ndarray
-    identity: np.ndarray
 
     @classmethod
-    def of(cls, matrix: np.ndarray, quadrature: QuadratureWeights) -> LeftFactor:
+    def of(cls, matrix: np.ndarray, grid: Grid) -> LeftFactor:
         matrix = np.array(matrix, dtype=float)
-        q, r = np.linalg.qr(quadrature.sqrt_weights[:, None] * matrix)
-        identity = np.eye(r.shape[0])
-        for a in (matrix, q, r, identity):
+        q, r = np.linalg.qr(grid.sqrt_weights[:, None] * matrix)
+        for a in (matrix, q, r):
             a.flags.writeable = False
-        return cls(matrix, q, r, identity)
+        return cls(matrix, q, r)
 
 
 # Iterative refinement of a factored solve stops once a correction moves the
@@ -87,7 +84,7 @@ def _frozen_view(a: np.ndarray) -> bool:
 
 @dataclass(frozen=True)
 class JacobianMatrix:
-    """Jacobian J = L C with the quadrature weights defining its adjoint.
+    """Jacobian J = L C on `grid`, whose Simpson weights define its adjoint.
 
     Columns are indexed by the unknown-space grid, rows of J by the
     data-space grid (one shared grid, so J is square).  `matrix` is C, m x n;
@@ -99,12 +96,12 @@ class JacobianMatrix:
     """
 
     matrix: np.ndarray
-    quadrature: QuadratureWeights
+    grid: Grid
     left: Optional[LeftFactor] = None
 
     def __post_init__(self):
         m = self.matrix if _frozen_view(self.matrix) else np.array(self.matrix, dtype=float)
-        n = self.quadrature.grid.node_count
+        n = self.grid.node_count
         rows = n if self.left is None else self.left.matrix.shape[1]
         if m.shape != (rows, n) or (self.left is not None and self.left.matrix.shape[0] != n):
             raise ValueError(f"Jacobian factor shape {m.shape} does not match grid size {n}")
@@ -118,7 +115,7 @@ class JacobianMatrix:
         return u if self.left is None else self.left.matrix @ u
 
     def adjoint_apply(self, v: np.ndarray) -> np.ndarray:
-        w = self.quadrature.weights
+        w = self.grid.weights
         u = w * v if self.left is None else self.left.matrix.T @ (w * v)
         return (self.matrix.T @ u) / w
 
@@ -135,7 +132,7 @@ class JacobianMatrix:
         such Jacobian thousands of times.  A factored J reads it only when
         the refined Gram solve fails, below alpha of about 1e-16.
         """
-        s = self.quadrature.sqrt_weights
+        s = self.grid.sqrt_weights
         if self.left is None:
             square = self.matrix * s[:, None]
             square /= s[None, :]
@@ -155,13 +152,13 @@ class JacobianMatrix:
         O(m^2 n) product with no QR and no SVD, and without forming M: each
         gravimetry Jacobian is solved once, so nothing is prepared for other
         alphas.  Only the refined Gram solve reads it."""
-        x = self.matrix / self.quadrature.sqrt_weights
+        x = self.matrix / self.grid.sqrt_weights
         return self.left.r @ (x @ x.T) @ self.left.r.T
 
     def _lift(self, z: np.ndarray) -> np.ndarray:
         """S^{-1} M^T z = C^T (R^T z) / w for a factored J, O(mn)."""
         y = self.matrix.T @ (self.left.r.T @ z)
-        y /= self.quadrature.weights
+        y /= self.grid.weights
         return y
 
     def _refined_solve(self, alpha: float, f: np.ndarray) -> Optional[np.ndarray]:
@@ -169,10 +166,13 @@ class JacobianMatrix:
         preconditioned with P = (G + alpha I)^{-1}, or None when `inv` fails
         or the refinement does not converge.  Each residual
         f - R (C y) - alpha z goes through the factors, never through G, so
-        rounding in G and P slows convergence but does not bias y."""
+        rounding in G and P slows convergence but does not bias y.  G + alpha I
+        is formed by shifting the diagonal of a copy of the cached G."""
         left = self.left
+        g = self.gram.copy()
+        g.flat[:: len(g) + 1] += alpha
         try:
-            p = np.linalg.inv(self.gram + alpha * left.identity)
+            p = np.linalg.inv(g)
         except np.linalg.LinAlgError:
             return None
         z = p @ f
@@ -221,7 +221,7 @@ class JacobianMatrix:
         d = None
         if left is not None:
             f = left.r @ (self.matrix @ offset)
-            f -= left.q.T @ (self.quadrature.sqrt_weights * residual)
+            f -= left.q.T @ (self.grid.sqrt_weights * residual)
             d = self._refined_solve(alpha, f)
         if d is None:
             sigma_squared, sigma_vt_s, qu_t_s, v_sigma_over_s = self.decomposition
@@ -243,19 +243,17 @@ class Linearization(NamedTuple):
 class OperatorModel(ABC):
     """Nonlinear problem phi(x) = 0 posed on one shared grid.
 
-    A model answers one operator call, `linearize`, which maps nodal values
-    to phi(x) and its Frechet derivative together: directional finite
-    differences of the residual agree with the Jacobian action to first
-    order at every admissible point.  `residual` and `jacobian` wrap it.
+    A model has two members: its `grid`, whose Simpson weights define the
+    norms and adjoints of the flow, and one operator call, `linearize`,
+    which maps nodal values to phi(x) and its Frechet derivative together:
+    directional finite differences of the residual agree with the Jacobian
+    action to first order at every admissible point.  `residual` and
+    `jacobian` wrap it.
     """
 
     @property
     @abstractmethod
     def grid(self) -> Grid: ...
-
-    @property
-    @abstractmethod
-    def quadrature(self) -> QuadratureWeights: ...
 
     @abstractmethod
     def linearize(self, x: np.ndarray) -> Linearization:
@@ -552,7 +550,9 @@ def run_flow(
     minimal discrepancy is returned and steps_taken is its index.  The
     trajectory keeps every `record_every`-th iterate and the last accepted one.
     Non-finite iterates or domain violations end the run in-band: the report
-    carries the last good state and diverged=True.
+    carries the last good state and diverged=True.  At x0 itself, before any
+    step, a non-finite residual entry or discrepancy raises
+    NonFiniteValueError and an inadmissible point DomainError.
     """
     if reference is not None and reference.grid != model.grid:
         raise GridMismatchError("reference must live on the model grid")
@@ -564,7 +564,7 @@ def run_flow(
     midpoint = config.stepper == "rk"
     rule = config.stop_rule
     tau = config.tau
-    weights = model.quadrature.weights
+    weights = model.grid.weights
 
     def reference_errors(x: np.ndarray) -> tuple[float, float]:
         """Sup and L2 norms of x - reference; the sup norm is non-finite
@@ -585,6 +585,8 @@ def run_flow(
 
     x = x0.values
     sigma = l2_norm_values(lin.residual, weights)
+    if not math.isfinite(sigma):  # finite entries whose sum of squares overflows
+        raise NonFiniteValueError("discrepancy at x0 is not finite: its sum of squares overflows")
     alpha = schedule.alpha(0.0)
     trajectory = [point(0, x, sigma, alpha)]
 

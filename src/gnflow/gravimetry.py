@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DomainError
 from .flow import JacobianMatrix, LeftFactor, Linearization, OperatorModel
-from .grids import Grid, GridFunction, QuadratureWeights, simpson_weights
+from .grids import Grid, GridFunction
 
 # Largest error of the interpolated anomaly and Frechet entries, relative to
 # the largest exact value, accepted at the check rows.
@@ -133,10 +133,6 @@ class GravimetryParams:
         return Grid(self.half_width, self.node_count)
 
     @cached_property
-    def quadrature(self) -> QuadratureWeights:
-        return simpson_weights(self.grid)
-
-    @cached_property
     def _rows_by_rung(self) -> dict[int, ChebyshevRows]:
         return {}
 
@@ -152,9 +148,9 @@ class GravimetryParams:
             nodes = self.grid.nodes
             check = np.unique(np.round(_CHECK_FRACTIONS * (self.node_count - 1)).astype(int))
             points = np.concatenate([chebyshev, nodes[check]])
-            left = LeftFactor.of(_interpolation_matrix(nodes, chebyshev), self.quadrature)
+            left = LeftFactor.of(_interpolation_matrix(nodes, chebyshev), self.grid)
             d2 = _squared_distances(points, nodes)
-            numerator = np.log(d2 + self.depth**2) @ self.quadrature.weights
+            numerator = np.log(d2 + self.depth**2) @ self.grid.weights
             check_left = left.matrix[check]
             for a in (points, d2, numerator, check_left):
                 a.flags.writeable = False
@@ -191,13 +187,13 @@ def _log_ratio(d2: np.ndarray, den: np.ndarray, p: GravimetryParams) -> np.ndarr
 def _anomaly(kernel: np.ndarray, p: GravimetryParams) -> np.ndarray:
     """Anomaly c (kernel @ w), c = rho / 4 pi, at the rows of the log-ratio
     `kernel`."""
-    return (p.density / (4.0 * np.pi)) * (kernel @ p.quadrature.weights)
+    return (p.density / (4.0 * np.pi)) * (kernel @ p.grid.weights)
 
 
 def _frechet_entries(den: np.ndarray, h: np.ndarray, p: GravimetryParams) -> np.ndarray:
     """Frechet matrix entries (2 c h_j w_j) / den, c = rho / 4 pi, written
     over the kernel denominator `den` in one divide."""
-    return np.divide((p.density / (2.0 * np.pi)) * h * p.quadrature.weights, den, out=den)
+    return np.divide((p.density / (2.0 * np.pi)) * h * p.grid.weights, den, out=den)
 
 
 def _row_kernels(
@@ -207,7 +203,7 @@ def _row_kernels(
     Chebyshev points and check nodes of a rung, in one pass over its
     squared distances."""
     den = rows.squared_distances + h**2
-    g = (p.density / (4.0 * np.pi)) * (rows.numerator - np.log(den) @ p.quadrature.weights)
+    g = (p.density / (4.0 * np.pi)) * (rows.numerator - np.log(den) @ p.grid.weights)
     return g, _frechet_entries(den, h, p)
 
 
@@ -263,7 +259,7 @@ def _dense_frechet(h: np.ndarray, p: GravimetryParams) -> JacobianMatrix:
     den += h**2
     j = _frechet_entries(den, h, p)
     j.flags.writeable = False  # so that JacobianMatrix keeps the view j[:] uncopied
-    return JacobianMatrix(j[:], p.quadrature)
+    return JacobianMatrix(j[:], p.grid)
 
 
 def forward(x: GridFunction, p: GravimetryParams) -> GridFunction:
@@ -329,10 +325,6 @@ class GravimetryModel(OperatorModel):
     def grid(self) -> Grid:
         return self.params.grid
 
-    @property
-    def quadrature(self) -> QuadratureWeights:
-        return self.params.quadrature
-
     def linearize(self, x: np.ndarray) -> Linearization:
         """phi(x) and the factored phi'(x) = P C from the kernel at m
         Chebyshev rows: the anomaly g_c and C are evaluated there, and the
@@ -354,5 +346,5 @@ class GravimetryModel(OperatorModel):
             if _interpolates(rows, g, c):
                 res = rows.left.matrix @ g[:m]
                 res -= self.data.values
-                return Linearization(res, JacobianMatrix(c[:m], p.quadrature, rows.left))
+                return Linearization(res, JacobianMatrix(c[:m], p.grid, rows.left))
         return Linearization(_dense_anomaly(h, p) - self.data.values, _dense_frechet(h, p))

@@ -1,8 +1,9 @@
 """Uniform grids on [-l, l] with composite Simpson quadrature.
 
 Functions are represented by their nodal values; inner products and norms
-are the weighted discrete analogs of the L2[-l, l] ones, so that grid
-functions behave like elements of a Hilbert space at every node count.
+are the weighted discrete analogs of the L2[-l, l] ones, with the Simpson
+weights that each `Grid` owns, so that grid functions behave like elements
+of a Hilbert space at every node count.
 """
 
 from __future__ import annotations
@@ -22,7 +23,9 @@ class Grid:
     """Uniform grid of `node_count` points spanning [-half_width, half_width].
 
     `node_count` must be an integer, odd and >= 3, so the grid splits into
-    an even number of panels, as composite Simpson quadrature requires.
+    an even number of panels, as composite Simpson quadrature requires.  The
+    grid owns those quadrature weights, which define every inner product,
+    norm and adjoint on it.
     """
 
     half_width: float
@@ -50,6 +53,24 @@ class Grid:
         pts = 0.5 * (pts - pts[::-1])
         pts.flags.writeable = False
         return pts
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """Composite Simpson weights h/3 * (1, 4, 2, 4, ..., 2, 4, 1); exact
+        on cubics."""
+        w = np.full(self.node_count, 2.0)
+        w[1::2] = 4.0
+        w[0] = w[-1] = 1.0
+        w *= self.spacing / 3.0
+        w.flags.writeable = False
+        return w
+
+    @cached_property
+    def sqrt_weights(self) -> np.ndarray:
+        """sqrt(w), the diagonal of the symmetrizing scale S = diag(sqrt(w))."""
+        s = np.sqrt(self.weights)
+        s.flags.writeable = False
+        return s
 
 
 def _check_integer(value: object, name: str) -> None:
@@ -92,57 +113,21 @@ class GridFunction:
         return cls(grid, np.full(grid.node_count, float(value)))
 
 
-@dataclass(frozen=True)
-class QuadratureWeights:
-    """Composite Simpson weights h/3 * (1, 4, 2, 4, ..., 2, 4, 1) on a grid."""
-
-    grid: Grid
-
-    @cached_property
-    def weights(self) -> np.ndarray:
-        w = np.full(self.grid.node_count, 2.0)
-        w[1::2] = 4.0
-        w[0] = w[-1] = 1.0
-        w *= self.grid.spacing / 3.0
-        w.flags.writeable = False
-        return w
-
-    @cached_property
-    def sqrt_weights(self) -> np.ndarray:
-        """sqrt(w), the diagonal of the symmetrizing scale S = diag(sqrt(w))."""
-        s = np.sqrt(self.weights)
-        s.flags.writeable = False
-        return s
-
-
-def simpson_weights(grid: Grid) -> QuadratureWeights:
-    """Composite Simpson quadrature weights; exact on cubics."""
-    return QuadratureWeights(grid)
-
-
-def _require_same_grid(*grids: Grid) -> None:
-    first = grids[0]
-    for g in grids[1:]:
-        if g != first:
-            raise GridMismatchError(f"grid mismatch: {first} vs {g}")
-
-
-def integrate(f: GridFunction, w: QuadratureWeights) -> float:
+def integrate(f: GridFunction) -> float:
     """Quadrature approximation of the integral of f over [-l, l]."""
-    _require_same_grid(f.grid, w.grid)
-    return float(w.weights @ f.values)
+    return float(f.grid.weights @ f.values)
 
 
-def inner_product(f: GridFunction, g: GridFunction, w: QuadratureWeights) -> float:
+def inner_product(f: GridFunction, g: GridFunction) -> float:
     """Weighted discrete L2 inner product sum_i w_i f_i g_i."""
-    _require_same_grid(f.grid, g.grid, w.grid)
-    return float(w.weights @ (f.values * g.values))
+    if f.grid != g.grid:
+        raise GridMismatchError(f"grid mismatch: {f.grid} vs {g.grid}")
+    return float(f.grid.weights @ (f.values * g.values))
 
 
-def l2_norm(f: GridFunction, w: QuadratureWeights) -> float:
+def l2_norm(f: GridFunction) -> float:
     """Weighted discrete L2 norm sqrt(<f, f>)."""
-    _require_same_grid(f.grid, w.grid)
-    return l2_norm_values(f.values, w.weights)
+    return l2_norm_values(f.values, f.grid.weights)
 
 
 def l2_norm_values(values: np.ndarray, weights: np.ndarray) -> float:

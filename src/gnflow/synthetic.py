@@ -16,7 +16,7 @@ import numpy as np
 
 from .certificate import Certificate, CertificateInputs, build_certificate
 from .flow import JacobianMatrix, Linearization, OperatorModel
-from .grids import Grid, GridFunction, QuadratureWeights, l2_norm, simpson_weights
+from .grids import Grid, GridFunction, l2_norm
 from .schedules import InversePower, Schedule
 
 
@@ -47,12 +47,8 @@ class DiagonalLinearModel(OperatorModel):
         return self.solution.grid
 
     @cached_property
-    def quadrature(self) -> QuadratureWeights:
-        return simpson_weights(self.grid)
-
-    @cached_property
     def _jacobian(self) -> JacobianMatrix:
-        return JacobianMatrix(np.diag(self.spectrum), self.quadrature)
+        return JacobianMatrix(np.diag(self.spectrum), self.grid)
 
     def linearize(self, x: np.ndarray) -> Linearization:
         """phi(x) with the constant derivative of the linear map: one
@@ -90,27 +86,26 @@ def certified_diagonal_instance(
     small, which the certificate conditions favor.
     """
     grid = Grid(1.0, node_count)
-    quad = simpson_weights(grid)
     nodes = grid.nodes
 
     solution = GridFunction(grid, 1.0 + 0.5 * np.cos(np.pi * nodes / 2.0))
     spectrum = 0.5 ** np.arange(node_count, dtype=float)  # largest value 1 => n1 = 1
 
     bump = GridFunction(grid, (1.0 - nodes**2) ** 2)
-    v = GridFunction(grid, bump.values * (0.1 / l2_norm(bump, quad)))
+    v = GridFunction(grid, bump.values * (0.1 / l2_norm(bump)))
     x0 = GridFunction(grid, solution.values - spectrum**2 * v.values)
 
     if schedule is None:
         schedule = InversePower(alpha0=10.0, a=100.0, m=1.0)
     alpha0 = schedule.alpha(0.0)
-    w0 = l2_norm(GridFunction(grid, x0.values - solution.values), quad) / alpha0
+    w0 = l2_norm(GridFunction(grid, x0.values - solution.values)) / alpha0
 
     n1 = float(np.max(spectrum))
     n2 = 1.0  # any positive bound works: the second derivative vanishes
     inputs = CertificateInputs(
         n1=n1,
         n2=n2,
-        v_norm=l2_norm(v, quad),
+        v_norm=l2_norm(v),
         alpha0=alpha0,
         logderiv0=schedule.log_derivative(0.0),
         radius=10.0,

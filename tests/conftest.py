@@ -13,7 +13,6 @@ from gnflow import (
     OperatorModel,
     forward,
     frechet_matrix,
-    simpson_weights,
 )
 
 
@@ -22,7 +21,6 @@ class LinearMatrixModel(OperatorModel):
 
     def __init__(self, grid: Grid, matrix: np.ndarray, rhs: np.ndarray):
         self._grid = grid
-        self._quad = simpson_weights(grid)
         self.matrix = np.asarray(matrix, dtype=float)
         self.rhs = np.asarray(rhs, dtype=float)
 
@@ -30,12 +28,8 @@ class LinearMatrixModel(OperatorModel):
     def grid(self):
         return self._grid
 
-    @property
-    def quadrature(self):
-        return self._quad
-
     def linearize(self, x: np.ndarray) -> Linearization:
-        return Linearization(self.matrix @ x - self.rhs, JacobianMatrix(self.matrix, self._quad))
+        return Linearization(self.matrix @ x - self.rhs, JacobianMatrix(self.matrix, self._grid))
 
 
 def identity_model(grid: Grid) -> LinearMatrixModel:
@@ -47,7 +41,7 @@ def identity_model(grid: Grid) -> LinearMatrixModel:
 def symmetrized(jac: JacobianMatrix) -> np.ndarray:
     """Dense oracle of B = S J S^{-1}, S = diag(sqrt(w)), for a dense J; B
     shares singular values with the weighted operator."""
-    s = np.sqrt(jac.quadrature.weights)
+    s = jac.grid.sqrt_weights
     return (jac.matrix * s[:, None]) / s[None, :]
 
 
@@ -59,7 +53,7 @@ def dense_oracle(jac: JacobianMatrix):
 
         S d = -e + V diag(sigma / (sigma^2 + alpha)) U^T (B e - S residual).
     """
-    s = np.sqrt(jac.quadrature.weights)
+    s = jac.grid.sqrt_weights
     b = symmetrized(jac)
     u, sigma, vt = np.linalg.svd(b)
 
@@ -83,10 +77,6 @@ class DenseGravimetryModel(OperatorModel):
     @property
     def grid(self):
         return self.params.grid
-
-    @property
-    def quadrature(self):
-        return self.params.quadrature
 
     def linearize(self, x: np.ndarray) -> Linearization:
         p = self.params

@@ -33,7 +33,6 @@ from gnflow import (
     initial_guess,
     integrate,
     run_flow,
-    simpson_weights,
     true_interface,
 )
 from gnflow.schedules import Base2
@@ -60,7 +59,6 @@ def test_criterion_1_quadrature():
     exact_ok = True
     for l, n in [(1.0, 3), (1.0, 11), (1.0, 201), (2.0, 41)]:
         grid = Grid(l, n)
-        w = simpson_weights(grid)
         for _ in range(25):
             c = rng.uniform(-10, 10, size=4)
             f = GridFunction(
@@ -68,14 +66,14 @@ def test_criterion_1_quadrature():
                 c[0] + c[1] * grid.nodes + c[2] * grid.nodes**2 + c[3] * grid.nodes**3,
             )
             analytic = 2 * c[0] * l + (2.0 / 3.0) * c[2] * l**3
-            exact_ok &= abs(integrate(f, w) - analytic) <= 1e-12
+            exact_ok &= abs(integrate(f) - analytic) <= 1e-12
 
     exact = np.exp(1) - np.exp(-1)
 
     def quad_error(n):
         grid = Grid(1.0, n)
         f = GridFunction(grid, np.exp(grid.nodes))
-        return abs(integrate(f, simpson_weights(grid)) - exact)
+        return abs(integrate(f) - exact)
 
     order = np.log2(quad_error(11) / quad_error(21))
     order_ok = 3.8 <= order <= 4.2
@@ -87,7 +85,7 @@ def test_criterion_1_quadrature():
 
 def test_criterion_2_jacobian_consistency(benchmark_model):
     params = benchmark_model.params
-    quad = benchmark_model.quadrature
+    w = params.grid.weights
     rng = np.random.default_rng(102)
     eps = 1e-6
     ok = True
@@ -99,8 +97,8 @@ def test_criterion_2_jacobian_consistency(benchmark_model):
             minus = benchmark_model.residual(GridFunction(params.grid, x.values - eps * h))
             fd = (plus.values - minus.values) / (2 * eps)
             jh = jac.apply(h)
-            err = np.sqrt(quad.weights @ (fd - jh) ** 2)
-            scale = np.sqrt(quad.weights @ jh**2)
+            err = np.sqrt(w @ (fd - jh) ** 2)
+            scale = np.sqrt(w @ jh**2)
             ok &= err <= 1e-6 * max(1.0, scale)
     report_line(2, "jacobian vs finite differences", ok)
     assert ok
@@ -113,9 +111,8 @@ def test_criterion_3_spectral_estimates():
     for _ in range(200):
         n = int(rng.choice([3, 5, 7, 9, 11, 13, 15, 17, 19]))
         grid = Grid(float(rng.uniform(0.5, 2.0)), n)
-        quad = simpson_weights(grid)
-        jac = JacobianMatrix(rng.uniform(-1, 1, size=(n, n)), quad)
-        s = np.sqrt(quad.weights)
+        jac = JacobianMatrix(rng.uniform(-1, 1, size=(n, n)), grid)
+        s = np.sqrt(grid.weights)
         b = (jac.matrix * s[:, None]) / s[None, :]  # dense B = S J S^-1
         m = b.T @ b
         eye = np.eye(n)

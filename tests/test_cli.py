@@ -101,6 +101,20 @@ class TestSolve:
         assert row[3] == "0" and row[7] == "1"
         assert row[8] == "diverged: decomposition of the Jacobian failed: Singular matrix"
 
+    # numpy reports the overflow of the sum of squares that the run rejects
+    @pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+    def test_overflowed_initial_discrepancy_runtime_error(self, capsys):
+        # at rho = 1e300 the residual at x0 is finite but its sum of squares
+        # overflows: the run stops before any step, and the command exits 1
+        # with a one-line message and no traceback
+        rc = run_cli(
+            ["solve", "--schedule", "exp:alpha0=0.1,beta=3.5", "--grid-n", "21",
+             "--max-steps", "3", "--rho", "1e300"]
+        )
+        out, err = capsys.readouterr()
+        assert rc == 1 and out == ""
+        assert err == "gnflow: discrepancy at x0 is not finite: its sum of squares overflows\n"
+
     def test_malformed_schedule_usage_error(self, capsys):
         rc = run_cli(["solve", "--schedule", "exp:alpha0=0.1"])
         assert rc == 2

@@ -32,7 +32,6 @@ from gnflow import (
     l2_norm,
     rk_midpoint_step,
     run_flow,
-    simpson_weights,
     true_interface,
     velocity,
 )
@@ -56,10 +55,6 @@ class CountingModel(OperatorModel):
     @property
     def grid(self):
         return self.inner.grid
-
-    @property
-    def quadrature(self):
-        return self.inner.quadrature
 
     def linearize(self, x):
         self.linearizations += 1
@@ -106,7 +101,7 @@ def random_jacobian(rng, n=None, l=None) -> JacobianMatrix:
     n = n if n is not None else int(rng.choice([3, 5, 7, 9, 11, 15, 19]))
     l = l if l is not None else rng.uniform(0.5, 2.0)
     grid = Grid(l, n)
-    return JacobianMatrix(rng.uniform(-1, 1, size=(n, n)), simpson_weights(grid))
+    return JacobianMatrix(rng.uniform(-1, 1, size=(n, n)), grid)
 
 
 def weighted_operator_norm(mat: np.ndarray, weights: np.ndarray) -> float:
@@ -119,7 +114,7 @@ class TestJacobianMatrix:
         rng = np.random.default_rng(21)
         for _ in range(20):
             jac = random_jacobian(rng)
-            w = jac.quadrature.weights
+            w = jac.grid.weights
             f = rng.standard_normal(len(w))
             g = rng.standard_normal(len(w))
             lhs = np.sum(w * jac.apply(f) * g)
@@ -215,7 +210,7 @@ class TestJacobianMatrix:
             x = model.solution
 
             def fresh():
-                return JacobianMatrix(np.diag(model.spectrum), model.quadrature)
+                return JacobianMatrix(np.diag(model.spectrum), model.grid)
 
         else:
             node_count, depth = (801, 2.0) if case == "factored" else (201, 1.1)
@@ -244,21 +239,21 @@ class TestJacobianMatrix:
         grid = Grid(1.0, 3)
         bad = np.full((3, 3), np.nan)
         with pytest.raises(ValueError):
-            JacobianMatrix(bad, simpson_weights(grid))
+            JacobianMatrix(bad, grid)
 
     def test_read_only_factor_is_kept(self):
         # linearize hands over C as a read-only view of its read-only kernel
         # array, which the Jacobian keeps; anything else is copied and frozen
         params = GravimetryParams(node_count=201)
-        left, quad = params.chebyshev_rows(36).left, params.quadrature
+        left, grid = params.chebyshev_rows(36).left, params.grid
         kernel = np.random.default_rng(72).uniform(size=(45, 201))
         kernel.flags.writeable = False
-        assert np.shares_memory(JacobianMatrix(kernel[:36], quad, left).matrix, kernel)
+        assert np.shares_memory(JacobianMatrix(kernel[:36], grid, left).matrix, kernel)
         writeable = kernel.copy()
         frozen_view = writeable[:36]
         frozen_view.flags.writeable = False
         for factor in (writeable[:36], frozen_view):
-            jac = JacobianMatrix(factor, quad, left)
+            jac = JacobianMatrix(factor, grid, left)
             assert not np.shares_memory(jac.matrix, writeable)
             assert not jac.matrix.flags.writeable
             assert np.array_equal(jac.matrix, kernel[:36])
@@ -288,7 +283,7 @@ class TestJacobianMatrix:
         kernel[3, 5] = np.nan
         kernel.flags.writeable = False
         with pytest.raises(NonFiniteValueError, match="^Jacobian contains non-finite entries"):
-            JacobianMatrix(kernel[:36], params.quadrature, params.chebyshev_rows(36).left)
+            JacobianMatrix(kernel[:36], params.grid, params.chebyshev_rows(36).left)
 
     @pytest.mark.parametrize("alpha", [np.nan, np.inf, 0.0, -1e-3])
     @pytest.mark.parametrize("depth", [2.0, 1.1])  # factored, dense
@@ -330,7 +325,7 @@ class TestJacobianMatrix:
         params = GravimetryParams(node_count=201)
         res, jac = GravimetryModel.synthetic(params).linearize(initial_guess(params).values)
         offset = np.random.default_rng(73).standard_normal(201)
-        left, s = jac.left, jac.quadrature.sqrt_weights
+        left, s = jac.left, jac.grid.sqrt_weights
         u, sigma, vt = np.linalg.svd(left.r @ (jac.matrix / s), full_matrices=False)
         sigma_vt = sigma[:, None] * vt
         f = (sigma_vt * s) @ offset - ((left.q @ u).T * s) @ res
@@ -365,10 +360,31 @@ class TestJacobianMatrix:
                 assert np.linalg.norm(inv, ord=2) <= 1.0 / alpha + 1e-10
 
 
+def test_grid_owns_weights_and_jacobians_share_it():
+    # the weights are cached on the grid and read-only, and every Jacobian
+    # carries its model's grid object: the factored and dense branches of
+    # the gravimetry linearization and the diagonal model
+    grid = Grid(1.0, 21)
+    for name in ("weights", "sqrt_weights"):
+        a = getattr(grid, name)
+        assert getattr(grid, name) is a and not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+    models = [
+        GravimetryModel.synthetic(GravimetryParams(node_count=201)),
+        GravimetryModel.synthetic(GravimetryParams(node_count=201, depth=1.1)),
+    ]
+    for model, factored in zip(models, (True, False)):
+        jac = model.linearize(initial_guess(model.params).values).jacobian
+        assert (jac.left is not None) == factored and jac.grid is model.grid
+    model = certified_diagonal_instance().model
+    assert model.linearize(model.solution.values).jacobian.grid is model.grid
+
+
 def test_model_contract_is_linearize():
-    # grid, quadrature and linearize are the whole contract; residual and
-    # jacobian come from linearize, and no model overrides them
-    assert OperatorModel.__abstractmethods__ == {"grid", "quadrature", "linearize"}
+    # grid and linearize are the whole contract; residual and jacobian come
+    # from linearize, and no model overrides them
+    assert OperatorModel.__abstractmethods__ == {"grid", "linearize"}
     for cls in (GravimetryModel, DiagonalLinearModel, LinearMatrixModel):
         assert not {"residual", "jacobian", "domain_violation"} & set(vars(cls)), cls
     grid = Grid(1.0, 5)
@@ -426,7 +442,7 @@ class TestVelocity:
             x = GridFunction(grid, rng.standard_normal(n))
             x0 = GridFunction.constant(grid, 0.0)
             d = velocity(model, Exponential(1e-12, 1.0), 0.0, x, x0)
-            w = model.quadrature.weights
+            w = model.grid.weights
             assert np.sum(w * d.values * (target - x.values)) > 0
 
     def test_linear_solve_residual_on_benchmark(self, benchmark_model):
@@ -490,7 +506,7 @@ class TestSteppers:
             schedule = Exponential(rng.uniform(0.05, 2.0), 1.0)
             t_k = 0.1 * k  # keep alpha moderate so conditioning noise stays tiny
 
-            w = model.quadrature.weights
+            w = model.grid.weights
             alpha = schedule.alpha(t_k)
             adj = np.diag(1.0 / w) @ a.T @ np.diag(w)
             direct = x.values - np.linalg.inv(adj @ a + alpha * np.eye(n)) @ (
@@ -544,8 +560,8 @@ class TestJacobianConsistency:
             minus = benchmark_model.residual(GridFunction(params.grid, x.values - eps * h))
             fd = (plus.values - minus.values) / (2 * eps)
             jh = jac.apply(h)
-            err = l2_norm(GridFunction(params.grid, fd - jh), benchmark_model.quadrature)
-            scale = l2_norm(GridFunction(params.grid, jh), benchmark_model.quadrature)
+            err = l2_norm(GridFunction(params.grid, fd - jh))
+            scale = l2_norm(GridFunction(params.grid, jh))
             assert err <= 1e-6 * max(1.0, scale)
 
     def test_diagonal_model_directional_derivatives(self):
@@ -864,12 +880,25 @@ class TestRunFlow:
         assert reason.endswith(" exceeds admissible ceiling depth - epsilon = 1.999")
         assert report.stop_reason == prefix + reason
 
-    def test_non_finite_residual_at_x0_raises(self):
-        # the path behind the CLI's exit 1 for a non-finite linearization
-        grid = Grid(1.0, 5)
-        model = LinearMatrixModel(grid, np.eye(5), np.array([0.0, 0.0, np.inf, 0.0, 0.0]))
-        with pytest.raises(NonFiniteValueError, match="^grid function contains NaN or infinite"):
-            run_flow(model, UNIT_SCHEDULE, GridFunction.constant(grid, 1.0), SolverConfig())
+    @pytest.mark.parametrize(
+        "rhs, message",
+        [
+            (np.array([0, 0, np.inf, 0, 0, 0, 0]), "grid function contains NaN or infinite"),
+            (np.full(7, -1e200), "discrepancy at x0 is not finite: its sum of squares overflows"),
+        ],
+        ids=["infinite-entry", "overflowing-sum"],
+    )
+    # numpy reports the overflow of the sum of squares that the run rejects
+    @pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+    def test_non_finite_residual_at_x0_raises(self, rhs, message):
+        # the path behind the CLI's exit 1 for a non-finite linearization at
+        # x0: an infinite entry, or finite entries whose sum of squares
+        # overflows, raises before any step
+        grid = Grid(1.0, 7)
+        model = CountingModel(LinearMatrixModel(grid, np.eye(7), rhs))
+        with pytest.raises(NonFiniteValueError, match=f"^{message}"):
+            run_flow(model, UNIT_SCHEDULE, GridFunction.constant(grid, 0.0), SolverConfig())
+        assert model.linearizations == 1
 
     @pytest.mark.parametrize("stepper", ["euler", "rk"])
     def test_non_finite_residual_ends_run_in_band(self, stepper):
@@ -942,7 +971,7 @@ class TestRunFlow:
             model, schedule = GravimetryModel.synthetic(params), Exponential(0.1, 3.5)
             x0, k = initial_guess(params), 12
         elif problem == "matrix":
-            # a model that defines only grid, quadrature and linearize
+            # a model that defines only grid and linearize
             rng = np.random.default_rng(36)
             a = rng.standard_normal((7, 7)) + 7 * np.eye(7)
             model = LinearMatrixModel(Grid(1.0, 7), a, rng.standard_normal(7))

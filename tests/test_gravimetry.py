@@ -129,7 +129,7 @@ class TestFrechetMatrix:
     def test_diagonal_value_at_zero_interface(self):
         p = GravimetryParams()  # depth 2: derivative kernel 2H/H^2 = 1 at t=s
         jac = frechet_matrix(GridFunction.constant(p.grid, 0.0), p)
-        w = p.quadrature.weights
+        w = p.grid.weights
         for i in (0, 50, 100, 200):
             expected = (p.density / (4 * np.pi)) * w[i] * 1.0
             assert jac.matrix[i, i] == pytest.approx(expected, rel=1e-12)
@@ -143,7 +143,7 @@ class TestFrechetMatrix:
     def test_symmetric_up_to_weights_at_constant_interface(self):
         p = GravimetryParams()
         jac = frechet_matrix(GridFunction.constant(p.grid, 0.0), p)
-        kernel_part = jac.matrix / p.quadrature.weights[None, :]
+        kernel_part = jac.matrix / p.grid.weights[None, :]
         np.testing.assert_allclose(kernel_part, kernel_part.T, rtol=1e-12)
 
     def test_singular_values_decay(self):
@@ -203,7 +203,7 @@ class TestModelInterfaceContract:
         res, jac = model.linearize(x.values)
         assert np.array_equal(res, model.residual(x).values)
         assert np.array_equal(jac.apply(eye), model.jacobian(x).apply(eye))
-        assert jac.quadrature == model.quadrature
+        assert jac.grid is model.grid
         bound = 100 * INTERP_TOL
         expected = forward(x, p).values - model.data.values
         assert np.max(np.abs(res - expected)) <= bound * np.max(np.abs(model.data.values))
@@ -267,7 +267,7 @@ class TestModelInterfaceContract:
         assert np.array_equal(rows.points[40:], p.grid.nodes[check])
         assert np.array_equal(rows.check_left, rows.left.matrix[check])
         g, c = gravimetry._row_kernels(rows, h, p)
-        scale, w = p.density / (4 * np.pi), p.quadrature.weights
+        scale, w = p.density / (4 * np.pi), p.grid.weights
         nodes = p.grid.nodes
         g_oracle = [
             scale * sum(wj * kernel(t, s, xs, p) for wj, s, xs in zip(w, nodes, x))
@@ -335,7 +335,7 @@ class TestModelInterfaceContract:
 
     def test_adjoint_identity(self, benchmark_model):
         jac = benchmark_model.jacobian(initial_guess(benchmark_model.params))
-        w = jac.quadrature.weights
+        w = jac.grid.weights
         rng = np.random.default_rng(62)
         for _ in range(5):
             f = rng.standard_normal(len(w))
@@ -374,7 +374,7 @@ def unblocked_kernels(x: np.ndarray, p: GravimetryParams) -> tuple[np.ndarray, n
     dense formulas, with the n x n squared distances, denominators and log
     ratio each a whole array: the reference of the in-place assembly."""
     h = p.depth - x
-    w = p.quadrature.weights
+    w = p.grid.weights
     d2 = (p.grid.nodes[:, None] - p.grid.nodes[None, :]) ** 2
     den = d2 + h**2
     anomaly = (p.density / (4 * np.pi)) * (np.log((d2 + p.depth**2) / den) @ w)

@@ -12,7 +12,6 @@ from gnflow import (
     inner_product,
     integrate,
     l2_norm,
-    simpson_weights,
     sup_norm,
 )
 
@@ -81,12 +80,12 @@ class TestGridFunction:
 
 class TestSimpsonWeights:
     def test_three_point_pattern(self):
-        w = simpson_weights(Grid(1.0, 3))
-        np.testing.assert_allclose(w.weights, [1 / 3, 4 / 3, 1 / 3], rtol=1e-15)
+        w = Grid(1.0, 3).weights
+        np.testing.assert_allclose(w, [1 / 3, 4 / 3, 1 / 3], rtol=1e-15)
 
     def test_pattern_structure(self):
         g = Grid(1.0, 201)
-        w = simpson_weights(g).weights
+        w = g.weights
         scale = g.spacing / 3.0
         assert w[0] == pytest.approx(scale) and w[-1] == pytest.approx(scale)
         np.testing.assert_allclose(w[1:-1:2], 4.0 * scale, rtol=1e-15)
@@ -95,37 +94,36 @@ class TestSimpsonWeights:
 
     @pytest.mark.parametrize("l,n", [(1.0, 3), (1.0, 201), (2.5, 41), (0.5, 9)])
     def test_weights_sum_to_interval_length(self, l, n):
-        w = simpson_weights(Grid(l, n))
-        assert np.sum(w.weights) == pytest.approx(2 * l, rel=1e-12)
+        w = Grid(l, n).weights
+        assert np.sum(w) == pytest.approx(2 * l, rel=1e-12)
 
     def test_integrates_square_exactly(self):
         g = Grid(1.0, 201)
-        val = integrate(grid_fn(g, lambda s: s**2), simpson_weights(g))
+        val = integrate(grid_fn(g, lambda s: s**2))
         assert val == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_odd_powers_vanish(self):
         for l, n in [(1.0, 201), (2.0, 21)]:
             g = Grid(l, n)
-            val = integrate(grid_fn(g, lambda s: s**3), simpson_weights(g))
+            val = integrate(grid_fn(g, lambda s: s**3))
             assert abs(val) <= 1e-12
 
     @pytest.mark.parametrize("l,n", [(1.0, 3), (1.0, 5), (1.0, 201), (2.0, 21)])
     def test_exact_on_cubics(self, l, n):
         rng = np.random.default_rng(42)
         g = Grid(l, n)
-        w = simpson_weights(g)
         for _ in range(20):
             c = rng.uniform(-10, 10, size=4)
             f = grid_fn(g, lambda s: c[0] + c[1] * s + c[2] * s**2 + c[3] * s**3)
             exact = 2 * c[0] * l + (2 / 3) * c[2] * l**3  # odd terms cancel
-            assert integrate(f, w) == pytest.approx(exact, abs=1e-12)
+            assert integrate(f) == pytest.approx(exact, abs=1e-12)
 
     def test_fourth_order_convergence_on_exp(self):
         exact = np.exp(1) - np.exp(-1)
 
         def err(n):
             g = Grid(1.0, n)
-            return abs(integrate(grid_fn(g, np.exp), simpson_weights(g)) - exact)
+            return abs(integrate(grid_fn(g, np.exp)) - exact)
 
         ratio = err(11) / err(21)  # halving h divides the error by ~2^4
         assert 16 * 0.8 <= ratio <= 16 * 1.2
@@ -134,56 +132,51 @@ class TestSimpsonWeights:
 class TestInnerProductAndNorms:
     def test_constant_one(self):
         g = Grid(1.0, 21)
-        w = simpson_weights(g)
         one = GridFunction.constant(g, 1.0)
-        assert inner_product(one, one, w) == pytest.approx(2.0, rel=1e-14)
-        assert l2_norm(one, w) == pytest.approx(np.sqrt(2.0), rel=1e-14)
+        assert inner_product(one, one) == pytest.approx(2.0, rel=1e-14)
+        assert l2_norm(one) == pytest.approx(np.sqrt(2.0), rel=1e-14)
 
     def test_zero_function(self):
         g = Grid(1.0, 21)
-        w = simpson_weights(g)
         zero = GridFunction.constant(g, 0.0)
         f = grid_fn(g, np.cos)
-        assert inner_product(zero, f, w) == 0.0
-        assert l2_norm(zero, w) == 0.0
+        assert inner_product(zero, f) == 0.0
+        assert l2_norm(zero) == 0.0
         assert sup_norm(zero) == 0.0
 
     def test_odd_pairing_vanishes(self):
         g = Grid(1.0, 201)
-        w = simpson_weights(g)
         s = grid_fn(g, lambda t: t)
         one = GridFunction.constant(g, 1.0)
-        assert abs(inner_product(s, one, w)) <= 1e-12
+        assert abs(inner_product(s, one)) <= 1e-12
 
     def test_symmetry_and_bilinearity(self):
         rng = np.random.default_rng(3)
         g = Grid(1.5, 31)
-        w = simpson_weights(g)
         for _ in range(10):
             f = GridFunction(g, rng.standard_normal(g.node_count))
             h = GridFunction(g, rng.standard_normal(g.node_count))
             a = rng.uniform(-2, 2)
-            assert inner_product(f, h, w) == pytest.approx(inner_product(h, f, w), rel=1e-13)
+            assert inner_product(f, h) == pytest.approx(inner_product(h, f), rel=1e-13)
             fa = GridFunction(g, a * f.values)
-            assert inner_product(fa, h, w) == pytest.approx(
-                a * inner_product(f, h, w), rel=1e-12, abs=1e-15
+            assert inner_product(fa, h) == pytest.approx(
+                a * inner_product(f, h), rel=1e-12, abs=1e-15
             )
 
     def test_positive_definite(self):
         rng = np.random.default_rng(4)
         g = Grid(1.0, 21)
-        w = simpson_weights(g)
         for _ in range(20):
             vals = rng.standard_normal(g.node_count)
             if np.all(vals == 0):
                 continue
             f = GridFunction(g, vals)
-            assert inner_product(f, f, w) > 0
+            assert inner_product(f, f) > 0
 
     def test_l2_norm_against_fine_trapezoid_oracle(self):
         g = Grid(1.0, 201)
         f = grid_fn(g, lambda s: (1 - s**2) ** 2)
-        assert l2_norm(f, simpson_weights(g)) == pytest.approx(
+        assert l2_norm(f) == pytest.approx(
             L2_NORM_BUMP_SQUARED, rel=1e-8
         )
 
@@ -191,16 +184,12 @@ class TestInnerProductAndNorms:
         rng = np.random.default_rng(5)
         for l, n in [(1.0, 21), (2.0, 41)]:
             g = Grid(l, n)
-            w = simpson_weights(g)
             for _ in range(10):
                 f = GridFunction(g, rng.standard_normal(n))
-                assert l2_norm(f, w) <= np.sqrt(2 * l) * sup_norm(f) * (1 + 1e-12)
+                assert l2_norm(f) <= np.sqrt(2 * l) * sup_norm(f) * (1 + 1e-12)
 
     def test_grid_mismatch_rejected(self):
         f = GridFunction.constant(Grid(1.0, 21), 1.0)
         h = GridFunction.constant(Grid(1.0, 31), 1.0)
-        w21 = simpson_weights(Grid(1.0, 21))
         with pytest.raises(GridMismatchError):
-            inner_product(f, h, w21)
-        with pytest.raises(GridMismatchError):
-            l2_norm(h, w21)
+            inner_product(f, h)
