@@ -77,8 +77,8 @@ class ChebyshevRows(NamedTuple):
     left factor P (n x m) that interpolates from the m points onto the grid,
     the squared distances (c_k - s_j)^2 of all m + 9 points to the grid
     nodes, the x-independent anomaly numerator
-    sum_j w_j ln((c_k - s_j)^2 + H^2) at each point, and the rows P[check]
-    that interpolate onto the check nodes.  All read-only."""
+    (rho / 4 pi) sum_j w_j ln((c_k - s_j)^2 + H^2) at each point, and the
+    rows P[check] that interpolate onto the check nodes.  All read-only."""
 
     points: np.ndarray
     left: LeftFactor
@@ -136,6 +136,26 @@ class GravimetryParams:
     def _rows_by_rung(self) -> dict[int, ChebyshevRows]:
         return {}
 
+    @cached_property
+    def _row_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """(rho / 4 pi) w and (rho / 2 pi) w, the weights of the anomaly and
+        of the Frechet entries at the Chebyshev rows."""
+        w = self.grid.weights
+        pair = ((self.density / (4.0 * np.pi)) * w, (self.density / (2.0 * np.pi)) * w)
+        for a in pair:
+            a.flags.writeable = False
+        return pair
+
+    @cached_property
+    def _node_offsets(self) -> tuple[np.ndarray, np.ndarray]:
+        """s_j - l and s_j + l, the distances of the grid nodes to the ends
+        of the interval, which the rank estimate reads."""
+        nodes = self.grid.nodes
+        pair = (nodes - self.half_width, nodes + self.half_width)
+        for a in pair:
+            a.flags.writeable = False
+        return pair
+
     def chebyshev_rows(self, m: int) -> ChebyshevRows:
         """Factors of the interpolation from m Chebyshev points of the second
         kind on [-l, l], with the rows where it is checked, built on first
@@ -150,7 +170,7 @@ class GravimetryParams:
             points = np.concatenate([chebyshev, nodes[check]])
             left = LeftFactor.of(_interpolation_matrix(nodes, chebyshev), self.grid)
             d2 = _squared_distances(points, nodes)
-            numerator = np.log(d2 + self.depth**2) @ self.grid.weights
+            numerator = np.log(d2 + self.depth**2) @ self._row_weights[0]
             check_left = left.matrix[check]
             for a in (points, d2, numerator, check_left):
                 a.flags.writeable = False
@@ -199,12 +219,14 @@ def _frechet_entries(den: np.ndarray, h: np.ndarray, p: GravimetryParams) -> np.
 def _row_kernels(
     rows: ChebyshevRows, h: np.ndarray, p: GravimetryParams
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Anomaly c (numerator - log(d2 + h^2) @ w) and Frechet entries at the
-    Chebyshev points and check nodes of a rung, in one pass over its
-    squared distances."""
+    """Anomaly numerator - log(d2 + h^2) @ (c w) and Frechet entries
+    (2 c w_j h_j) / (d2 + h^2), c = rho / 4 pi, at the Chebyshev points and
+    check nodes of a rung, in one pass over its squared distances, with the
+    scaled weights cached on `p`."""
+    anomaly_weights, frechet_weights = p._row_weights
     den = rows.squared_distances + h**2
-    g = (p.density / (4.0 * np.pi)) * (rows.numerator - np.log(den) @ p.grid.weights)
-    return g, _frechet_entries(den, h, p)
+    g = rows.numerator - np.log(den) @ anomaly_weights
+    return g, np.divide(h * frechet_weights, den, out=den)
 
 
 def _rank_estimate(h: np.ndarray, p: GravimetryParams) -> float:
@@ -213,8 +235,8 @@ def _rank_estimate(h: np.ndarray, p: GravimetryParams) -> float:
     is the parameter of the Bernstein ellipse through the nearest pole
     z_j = (s_j + i h_j) / l of column j, and interpolation at m points
     converges like rho_min^-m."""
-    s, y = p.grid.nodes / p.half_width, h / p.half_width
-    a = max(float((np.hypot(s - 1.0, y) + np.hypot(s + 1.0, y)).min()) / 2.0, 1.0)
+    below, above = p._node_offsets
+    a = max(float((np.hypot(below, h) + np.hypot(above, h)).min()) / (2.0 * p.half_width), 1.0)
     rho = a + math.sqrt((a - 1.0) * (a + 1.0))
     return math.log(1.0 / INTERP_TOL) / math.log(rho) if rho > 1.0 else math.inf
 

@@ -83,13 +83,13 @@ class TestSolve:
         assert row[1:3] == [schedule, "0.1234567"]
 
     def test_singular_solve_is_reported_in_the_row(self, monkeypatch, capsys):
-        # a failed inverse and a failed SVD of the fallback end the run in
+        # a failed LU solve and a failed SVD of the fallback end the run in
         # band: the row says so and the command exits 0, with no traceback,
         # as for any diverged run
         def singular(*args, **kwargs):
             raise np.linalg.LinAlgError("Singular matrix")
 
-        monkeypatch.setattr(np.linalg, "inv", singular)
+        monkeypatch.setattr(np.linalg, "solve", singular)
         monkeypatch.setattr(np.linalg, "svd", singular)
         rc = run_cli(
             ["solve", "--schedule", "exp:alpha0=0.1,beta=3.5", "--grid-n", "201",
@@ -101,8 +101,8 @@ class TestSolve:
         assert row[3] == "0" and row[7] == "1"
         assert row[8] == "diverged: decomposition of the Jacobian failed: Singular matrix"
 
-    # numpy reports the overflow of the sum of squares that the run rejects
-    @pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+    # the run rejects an overflowing sum of squares at x0 without a numpy warning
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowed_initial_discrepancy_runtime_error(self, capsys):
         # at rho = 1e300 the residual at x0 is finite but its sum of squares
         # overflows: the run stops before any step, and the command exits 1
