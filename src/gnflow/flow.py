@@ -33,9 +33,9 @@ ALPHA_FLOOR = 1e-13
 
 @dataclass(frozen=True)
 class LeftFactor:
-    """Left factor L (n x m, m < n) of a factored Jacobian J = L C, with the
-    thin QR S L = Q R, S = diag(sqrt(w)) from the weights of `grid`, that
-    the normal solve reads.  It keeps L, Q^T S in place of Q (the solve
+    """Left factor L (n x m, m < n) of a factored Jacobian J = L K S, with
+    the thin QR S L = Q R, S = diag(sqrt(w)) from the weights of `grid`,
+    that the normal solve reads.  It keeps L, Q^T S in place of Q (the solve
     applies Q^T only to S-scaled vectors), R, and
     ||S^-1||^2 = max_j 1 / w_j, which scales the refinement's bound on its
     remaining correction.  Fixed per grid, so it is built once and shared."""
@@ -66,8 +66,8 @@ REFINE_STEPS = 8
 
 class _Decomposition(NamedTuple):
     """The thin SVD M = U Sigma V^T of the m x n (or n x n) middle factor
-    of B = S J S^-1 = Q M, S = diag(sqrt(w)), with M = R C S^-1 for a
-    factored J = L C and M = S C S^-1, Q = I for L = I: the squared singular
+    of B = S J S^-1 = Q M, S = diag(sqrt(w)), with M = R K for a factored
+    J = L K S and M = S J S^-1, Q = I for L = I: the squared singular
     values sigma^2 and the three scaled factors of the solve, Sigma V^T S,
     (Q U)^T S and S^-1 V Sigma."""
 
@@ -89,17 +89,27 @@ def _frozen_view(a: np.ndarray) -> bool:
     )
 
 
+# Rows of a Jacobian factor scanned for non-finite entries at a time, so the
+# scan's boolean mask is a block of the factor, not the whole of it.
+_SCAN_ROWS = 64
+
+
 @dataclass(frozen=True)
 class JacobianMatrix:
-    """Jacobian J = L C on `grid`, whose Simpson weights define its adjoint.
+    """Jacobian J = L K S on `grid`, S = diag(sqrt(w)) from the Simpson
+    weights that define its adjoint.
 
     Columns are indexed by the unknown-space grid, rows of J by the
-    data-space grid (one shared grid, so J is square).  `matrix` is C, m x n;
-    `left` is L, n x m, or None for L = I, when `matrix` is J itself.  The
-    adjoint is the weighted one, J* = W^{-1} J^T W, which makes J* J
-    selfadjoint and nonnegative in the weighted inner product.  `matrix` is
-    copied and frozen unless it is a read-only view of a read-only float64
-    array, as `linearize` hands over, which is kept as is.
+    data-space grid (one shared grid, so J is square).  For a factored
+    J = L C, `left` is L, n x m, and `matrix` is the scaled factor
+    K = C S^{-1}, m x n, which the Gram matrix, the SVD and the refinement
+    read without rescaling it; `left` is None for L = I, when `matrix` is J
+    itself.  The adjoint is the weighted one, J* = W^{-1} J^T W, which makes
+    J* J selfadjoint and nonnegative in the weighted inner product.
+    `matrix` is copied and frozen unless it is a read-only view of a
+    read-only float64 array, as `linearize` hands over, which is kept as
+    is; either way it is scanned for non-finite entries, _SCAN_ROWS rows at
+    a time.
     """
 
     matrix: np.ndarray
@@ -112,30 +122,33 @@ class JacobianMatrix:
         rows = n if self.left is None else self.left.matrix.shape[1]
         if m.shape != (rows, n) or (self.left is not None and self.left.matrix.shape[0] != n):
             raise ValueError(f"Jacobian factor shape {m.shape} does not match grid size {n}")
-        if not np.isfinite(m).all():
+        if not all(np.isfinite(m[i : i + _SCAN_ROWS]).all() for i in range(0, len(m), _SCAN_ROWS)):
             raise NonFiniteValueError("Jacobian contains non-finite entries")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        u = self.matrix @ v
-        return u if self.left is None else self.left.matrix @ u
+        if self.left is None:
+            return self.matrix @ v
+        # S v, scaling the first axis of v, a vector or the columns of a matrix
+        return self.left.matrix @ (self.matrix @ (self.grid.sqrt_weights * v.T).T)
 
     def adjoint_apply(self, v: np.ndarray) -> np.ndarray:
         w = self.grid.weights
-        u = w * v if self.left is None else self.left.matrix.T @ (w * v)
-        return (self.matrix.T @ u) / w
+        if self.left is None:
+            return (self.matrix.T @ (w * v)) / w
+        return (self.matrix.T @ (self.left.matrix.T @ (w * v))) / self.grid.sqrt_weights
 
     @cached_property
     def decomposition(self) -> _Decomposition:
         """The SVD of M, computed on first use and shared by every
         `normal_solve` on this Jacobian that reads it, whatever its alpha.
 
-        B = S J S^{-1} = Q M with Q orthonormal columns, M = R (C / s) for a
-        factored J (O(m^2 n)) and M = S C S^{-1}, Q = I for L = I (O(n^3)).
+        B = S J S^{-1} = Q M with Q orthonormal columns, M = R K for a
+        factored J (O(m^2 n)) and M = S J S^{-1}, Q = I for L = I (O(n^3)).
         The thin SVD M = U Sigma V^T is kept in the scaled factors
         Sigma V^T S, (Q U)^T S and S^{-1} V Sigma, so that a solve applies M
-        through them and never through C; the certified model solves one
+        through them and never through J; the certified model solves one
         such Jacobian thousands of times.  A factored J reads it only when
         the refined Gram solve fails, below alpha of about 4e-16, and forms
         (Q U)^T S as U^T (Q^T S) from its left factor.
@@ -145,7 +158,7 @@ class JacobianMatrix:
             square = self.matrix * s[:, None]
             square /= s[None, :]
         else:
-            square = self.left.r @ (self.matrix / s)
+            square = self.left.r @ self.matrix
         try:
             u, sigma, vt = np.linalg.svd(square, full_matrices=False)
         except np.linalg.LinAlgError as exc:
@@ -156,17 +169,16 @@ class JacobianMatrix:
 
     @cached_property
     def gram(self) -> np.ndarray:
-        """G = R (C W^{-1} C^T) R^T = M M^T (m x m) of a factored J, one
-        O(m^2 n) product with no QR and no SVD, and without forming M: each
-        gravimetry Jacobian is solved once, so nothing is prepared for other
-        alphas.  Only the refined Gram solve reads it."""
-        x = self.matrix / self.grid.sqrt_weights
-        return self.left.r @ (x @ x.T) @ self.left.r.T
+        """G = R (K K^T) R^T = M M^T (m x m) of a factored J, one O(m^2 n)
+        product with no QR and no SVD, and without forming M or any other
+        m x n array: each gravimetry Jacobian is solved once, so nothing is
+        prepared for other alphas.  Only the refined Gram solve reads it."""
+        return self.left.r @ (self.matrix @ self.matrix.T) @ self.left.r.T
 
     def _lift(self, z: np.ndarray) -> np.ndarray:
-        """S^{-1} M^T z = C^T (R^T z) / w for a factored J, O(mn)."""
+        """S^{-1} M^T z = K^T (R^T z) / sqrt(w) for a factored J, O(mn)."""
         y = self.matrix.T @ (self.left.r.T @ z)
-        y /= self.grid.weights
+        y /= self.grid.sqrt_weights
         return y
 
     def _refined_solve(self, alpha: float, f: np.ndarray) -> Optional[np.ndarray]:
@@ -174,20 +186,18 @@ class JacobianMatrix:
         with LU solves of A = G + alpha I, or None when `solve` fails or the
         refinement does not converge.  From z = 0 and e = f, each pass
         solves A dz = e (`np.linalg.solve`), adds dz to z and
-        S^{-1} M^T dz to y, and recomputes e = f - R (C y) - alpha z through
-        the factors, never through G, so rounding in G and its LU slows
-        convergence but does not bias y.  The exact remaining correction is
-        S^{-1} M^T A^{-1} e, of norm at most
-        ||e|| ||S^{-1}|| / (2 sqrt(alpha)), since
+        S^{-1} M^T dz to y (the first pass assigns them), and recomputes
+        e = f - R (K (S y)) - alpha z through the factors, never through G,
+        so rounding in G and its LU slows convergence but does not bias y.
+        The exact remaining correction is S^{-1} M^T A^{-1} e, of norm at
+        most ||e|| ||S^{-1}|| / (2 sqrt(alpha)), since
         sigma / (sigma^2 + alpha) <= 1 / (2 sqrt(alpha)); y is accepted once
         that bound is at most REFINE_TOL ||y||, or, from the second pass on,
         once the computed correction moved y by at most REFINE_TOL ||y||.
         A is formed by shifting the diagonal of a copy of the cached G."""
-        left = self.left
+        left, s = self.left, self.grid.sqrt_weights
         a = self.gram.copy()
-        a.flat[:: len(a) + 1] += alpha
-        z = np.zeros_like(f)
-        y = np.zeros(self.grid.node_count)
+        a.ravel()[:: len(a) + 1] += alpha
         e = f
         # the tests compare squared norms: bound_scale = (||S^-1|| / (2 sqrt(alpha)))^2
         bound_scale = left.max_inverse_weight / (4.0 * alpha)
@@ -198,9 +208,12 @@ class JacobianMatrix:
             except np.linalg.LinAlgError:
                 return None
             dy = self._lift(dz)
-            z += dz
-            y += dy
-            e = f - left.r @ (self.matrix @ y)
+            if k == 0:
+                z, y = dz, dy
+            else:
+                z += dz
+                y += dy
+            e = f - left.r @ (self.matrix @ (s * y))
             e -= alpha * z
             tol = REFINE_TOL**2 * (y @ y)
             step = dy @ dy
@@ -220,9 +233,10 @@ class JacobianMatrix:
             d = S^{-1} M^T (M M^T + alpha I)^{-1} f - offset,
 
         the Tikhonov form of the step (Elden, BIT 17, 1977), whose rounding
-        is not divided by alpha.  For a factored J, M M^T = G, and
-        M e = R (C offset), Q^T S residual and S^{-1} M^T z = C^T (R^T z) / w
-        are applied through the factors.  Its fast path, like LAPACK's
+        is not divided by alpha.  For a factored J = L K S, M = R K,
+        M M^T = G, and M e = R (K e), Q^T S residual and
+        S^{-1} M^T z = K^T (R^T z) / sqrt(w) are applied through the
+        factors, with no m x n rescaling.  Its fast path, like LAPACK's
         dsgesv, refines z against the factors with one LU solve of
         G + alpha I per pass, O(m^3 + mn), until a bound on the exact
         remaining correction or, from the second pass on, the computed
@@ -241,7 +255,7 @@ class JacobianMatrix:
         left = self.left
         d = None
         if left is not None:
-            f = left.r @ (self.matrix @ offset)
+            f = left.r @ (self.matrix @ (self.grid.sqrt_weights * offset))
             f -= left.q_t_s @ residual
             d = self._refined_solve(alpha, f)
         if d is None:
@@ -483,14 +497,19 @@ def _step(
     a step along d, (J* J + alpha I) d = -(J* phi + alpha (x - x0)), at x_k
     or, for the midpoint rule, at x_half = x_k + (tau/2) d, linearized here."""
     d = lin.jacobian.normal_solve(alpha_k, lin.residual, x_k - x0)
+    # each solve returns a fresh d, so it is scaled and shifted in place
     if midpoint:
-        x_half = x_k + 0.5 * tau * d
+        x_half = d
+        x_half *= 0.5 * tau
+        x_half += x_k
         try:
             lin = _linearize(model, x_half)
         except DomainError as exc:
             raise DomainError(f"half-step point inadmissible: {exc}") from exc
         d = lin.jacobian.normal_solve(schedule.alpha(t_k + 0.5 * tau), lin.residual, x_half - x0)
-    return x_k + tau * d
+    d *= tau
+    d += x_k
+    return d
 
 
 def velocity(
@@ -588,13 +607,15 @@ def run_flow(
     weights = model.grid.weights
 
     def reference_errors(x: np.ndarray) -> tuple[float, float]:
-        """Sup and L2 norms of x - reference; the sup norm is non-finite
-        exactly when an entry is, which raises NonFiniteValueError."""
+        """Sup and L2 norms of x - reference; the sup norm, taken in place
+        after the L2 norm, is non-finite exactly when an entry is, which
+        raises NonFiniteValueError."""
         diff = x - reference.values
-        err_sup = float(np.abs(diff).max())
+        err_l2 = l2_norm_values(diff, weights)
+        err_sup = float(np.abs(diff, out=diff).max())
         if not math.isfinite(err_sup):
             _finite(diff)
-        return err_sup, l2_norm_values(diff, weights)
+        return err_sup, err_l2
 
     def point(k: int, x: np.ndarray, sigma: float, alpha_k: float) -> TrajectoryPoint:
         w = err_sup = None

@@ -13,8 +13,9 @@ decaying singular values and needs regularization to invert stably.
 Both kernels are analytic in the data coordinate t, with their nearest
 singularities at s +- i (H - x(s)).  `GravimetryModel.linearize` therefore
 evaluates them at m Chebyshev points only and interpolates onto the grid:
-the Jacobian is the factored J = P C, with P (n x m) fixed per grid, at
-O(mn) cost per linearization (Fong & Darve, J. Comput. Phys. 228, 2009;
+the Jacobian is the factored J = P C = P K S, with P (n x m) fixed per grid
+and the Frechet rows written as K = C S^-1, S = diag(sqrt(w)), at O(mn)
+cost per linearization (Fong & Darve, J. Comput. Phys. 228, 2009;
 Trefethen, Approximation Theory and Approximation Practice, ch. 8).
 """
 
@@ -137,21 +138,27 @@ class GravimetryParams:
         return {}
 
     @cached_property
-    def _row_weights(self) -> tuple[np.ndarray, np.ndarray]:
-        """(rho / 4 pi) w and (rho / 2 pi) w, the weights of the anomaly and
-        of the Frechet entries at the Chebyshev rows."""
-        w = self.grid.weights
-        pair = ((self.density / (4.0 * np.pi)) * w, (self.density / (2.0 * np.pi)) * w)
-        for a in pair:
+    def _row_weights(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rho / 4 pi) w, (rho / 2 pi) w and (rho / 2 pi) sqrt(w): the
+        weights of the anomaly, of the exact Frechet entries at the check
+        nodes and of the scaled Frechet rows K = C S^-1 at the Chebyshev
+        points."""
+        grid, frechet = self.grid, self.density / (2.0 * np.pi)
+        weights = (
+            (self.density / (4.0 * np.pi)) * grid.weights,
+            frechet * grid.weights,
+            frechet * grid.sqrt_weights,
+        )
+        for a in weights:
             a.flags.writeable = False
-        return pair
+        return weights
 
     @cached_property
-    def _node_offsets(self) -> tuple[np.ndarray, np.ndarray]:
-        """s_j - l and s_j + l, the distances of the grid nodes to the ends
-        of the interval, which the rank estimate reads."""
+    def _squared_node_offsets(self) -> tuple[np.ndarray, np.ndarray]:
+        """(s_j - l)^2 and (s_j + l)^2, the squared distances of the grid
+        nodes to the ends of the interval, which the rank estimate reads."""
         nodes = self.grid.nodes
-        pair = (nodes - self.half_width, nodes + self.half_width)
+        pair = ((nodes - self.half_width) ** 2, (nodes + self.half_width) ** 2)
         for a in pair:
             a.flags.writeable = False
         return pair
@@ -219,14 +226,19 @@ def _frechet_entries(den: np.ndarray, h: np.ndarray, p: GravimetryParams) -> np.
 def _row_kernels(
     rows: ChebyshevRows, h: np.ndarray, p: GravimetryParams
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Anomaly numerator - log(d2 + h^2) @ (c w) and Frechet entries
-    (2 c w_j h_j) / (d2 + h^2), c = rho / 4 pi, at the Chebyshev points and
-    check nodes of a rung, in one pass over its squared distances, with the
-    scaled weights cached on `p`."""
-    anomaly_weights, frechet_weights = p._row_weights
+    """Anomaly numerator - log(d2 + h^2) @ (c w), c = rho / 4 pi, at the
+    Chebyshev points and check nodes of a rung, and its Frechet rows, in one
+    pass over its squared distances with the weights cached on `p`: the
+    scaled entries K = C S^-1, (2 c sqrt(w_j) h_j) / (d2 + h^2), at the
+    Chebyshev points, and the exact entries C, (2 c w_j h_j) / (d2 + h^2),
+    at the check nodes, one divide per entry."""
+    anomaly_weights, check_weights, row_weights = p._row_weights
+    m = rows.check_left.shape[1]
     den = rows.squared_distances + h**2
     g = rows.numerator - np.log(den) @ anomaly_weights
-    return g, np.divide(h * frechet_weights, den, out=den)
+    np.divide(h * row_weights, den[:m], out=den[:m])
+    np.divide(h * check_weights, den[m:], out=den[m:])
+    return g, den
 
 
 def _rank_estimate(h: np.ndarray, p: GravimetryParams) -> float:
@@ -234,23 +246,32 @@ def _rank_estimate(h: np.ndarray, p: GravimetryParams) -> float:
     log(rho_min): rho_j = a_j + sqrt(a_j^2 - 1), a_j = (|z_j - 1| + |z_j + 1|) / 2,
     is the parameter of the Bernstein ellipse through the nearest pole
     z_j = (s_j + i h_j) / l of column j, and interpolation at m points
-    converges like rho_min^-m."""
-    below, above = p._node_offsets
-    a = max(float((np.hypot(below, h) + np.hypot(above, h)).min()) / (2.0 * p.half_width), 1.0)
+    converges like rho_min^-m.  |z_j -+ 1| l = sqrt((s_j -+ l)^2 + h_j^2),
+    from the squared offsets cached on `p`."""
+    below, above = p._squared_node_offsets
+    h2 = h * h
+    a = max(float((np.sqrt(below + h2) + np.sqrt(above + h2)).min()) / (2.0 * p.half_width), 1.0)
     rho = a + math.sqrt((a - 1.0) * (a + 1.0))
     return math.log(1.0 / INTERP_TOL) / math.log(rho) if rho > 1.0 else math.inf
 
 
-def _interpolates(rows: ChebyshevRows, g: np.ndarray, c: np.ndarray) -> bool:
-    """Whether the anomaly `g` and Frechet entries `c` at the m Chebyshev
+def _interpolates(rows: ChebyshevRows, g: np.ndarray, k: np.ndarray, p: GravimetryParams) -> bool:
+    """Whether the anomaly `g` and the Frechet entries at the m Chebyshev
     points of `rows`, interpolated onto the check nodes, are within
-    INTERP_TOL of the exact values there, which `g` and `c` carry in their
-    last rows."""
+    INTERP_TOL of the exact values there, which `g` and `k` carry in their
+    last rows.  `k` holds the scaled rows K = C S^-1 at the points, so the
+    interpolated entries are (P[check] K) S, the P[check] C of the exact
+    rows; those are positive (h >= epsilon > 0), so their largest value
+    needs no abs."""
     m = rows.check_left.shape[1]
-    return all(
-        np.abs(rows.check_left @ a[:m] - a[m:]).max() <= INTERP_TOL * np.abs(a[m:]).max()
-        for a in (g, c)
-    )
+    err = rows.check_left @ g[:m]
+    err -= g[m:]
+    if not np.abs(err, out=err).max() <= INTERP_TOL * np.abs(g[m:]).max():
+        return False
+    err = rows.check_left @ k[:m]
+    err *= p.grid.sqrt_weights
+    err -= k[m:]
+    return np.abs(err, out=err).max() <= INTERP_TOL * k[m:].max()
 
 
 def _dense_anomaly(h: np.ndarray, p: GravimetryParams) -> np.ndarray:
@@ -348,11 +369,12 @@ class GravimetryModel(OperatorModel):
         return self.params.grid
 
     def linearize(self, x: np.ndarray) -> Linearization:
-        """phi(x) and the factored phi'(x) = P C from the kernel at m
-        Chebyshev rows: the anomaly g_c and C are evaluated there, and the
-        residual is P g_c - y.  m is the first of `_rungs` for the a-priori
-        estimate whose interpolation passes the check nodes, which the same
-        kernel pass evaluates exactly; the kernel array is made read-only
+        """phi(x) and the factored phi'(x) = P C = P K S from the kernel at m
+        Chebyshev rows: the anomaly g_c and the scaled Frechet rows
+        K = C S^-1 are evaluated there, and the residual is P g_c - y.  m is
+        the first of `_rungs` for the a-priori estimate whose interpolation
+        passes the check nodes, which the same kernel pass evaluates
+        exactly (in C, unscaled); the kernel array is made read-only
         and handed over as a view, which the Jacobian keeps without a copy.
         Once 2m > n the residual is the anomaly of `forward` less the data
         and the Jacobian that of `frechet_matrix`, dense with the identity
@@ -363,10 +385,10 @@ class GravimetryModel(OperatorModel):
         h = _heights(x, p)
         for m in _rungs(_rank_estimate(h, p), p.node_count // 2):
             rows = p.chebyshev_rows(m)
-            g, c = _row_kernels(rows, h, p)
-            c.flags.writeable = False  # so that JacobianMatrix keeps c[:m] uncopied
-            if _interpolates(rows, g, c):
+            g, k = _row_kernels(rows, h, p)
+            k.flags.writeable = False  # so that JacobianMatrix keeps k[:m] uncopied
+            if _interpolates(rows, g, k, p):
                 res = rows.left.matrix @ g[:m]
                 res -= self.data.values
-                return Linearization(res, JacobianMatrix(c[:m], p.grid, rows.left))
+                return Linearization(res, JacobianMatrix(k[:m], p.grid, rows.left))
         return Linearization(_dense_anomaly(h, p) - self.data.values, _dense_frechet(h, p))

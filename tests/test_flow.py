@@ -241,6 +241,18 @@ class TestJacobianMatrix:
         with pytest.raises(ValueError):
             JacobianMatrix(bad, grid)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_entry_found_in_any_row_block(self):
+        # the factor is scanned in blocks of rows; an entry in the first,
+        # a middle or the last block is found, and a finite factor passes
+        grid = Grid(1.0, 201)
+        JacobianMatrix(np.ones((201, 201)), grid)
+        for row, value in ((0, np.nan), (63, np.inf), (64, -np.inf), (200, np.nan)):
+            bad = np.ones((201, 201))
+            bad[row, 7] = value
+            with pytest.raises(NonFiniteValueError, match="^Jacobian contains non-finite entries"):
+                JacobianMatrix(bad, grid)
+
     def test_read_only_factor_is_kept(self):
         # linearize hands over C as a read-only view of its read-only kernel
         # array, which the Jacobian keeps; anything else is copied and frozen
@@ -320,13 +332,13 @@ class TestJacobianMatrix:
     def test_factored_fallback_is_the_svd_solve(self, monkeypatch, alpha, lu_fails):
         # a failing LU solve, or a refinement that does not converge as at
         # alpha = 1e-24, hands the solve to the thin SVD
-        # M = R C S^-1 = U Sigma V^T, bit for bit:
+        # M = R K = U Sigma V^T, K = C S^-1 the Jacobian's factor, bit for bit:
         # d = (S^-1 V Sigma) [((Sigma V^T S) offset - (U^T Q^T S) res) / (sigma^2 + alpha)] - offset
         params = GravimetryParams(node_count=201)
         res, jac = GravimetryModel.synthetic(params).linearize(initial_guess(params).values)
         offset = np.random.default_rng(73).standard_normal(201)
         left, s = jac.left, jac.grid.sqrt_weights
-        u, sigma, vt = np.linalg.svd(left.r @ (jac.matrix / s), full_matrices=False)
+        u, sigma, vt = np.linalg.svd(left.r @ jac.matrix, full_matrices=False)
         sigma_vt = sigma[:, None] * vt
         f = (sigma_vt * s) @ offset - (u.T @ left.q_t_s) @ res
         expected = (sigma_vt / s).T @ (f / (sigma**2 + alpha)) - offset
@@ -359,7 +371,7 @@ class TestJacobianMatrix:
 
     @pytest.mark.parametrize("alpha", [1e-1, 1e-5, 1e-9, 1e-13])
     def test_refinement_bound_covers_the_exact_correction(self, alpha):
-        # for an iterate z, y = S^-1 M^T z and e = f - R (C y) - alpha z, the
+        # for an iterate z, y = S^-1 M^T z and e = f - R (K (S y)) - alpha z, the
         # distance from y to the exact y* = S^-1 M^T (G + alpha I)^-1 f, from
         # the SVD of M, is at most ||e|| ||S^-1|| / (2 sqrt(alpha)), the bound
         # that accepts a refinement pass.  Iterates: z* plus a random error,
@@ -372,10 +384,11 @@ class TestJacobianMatrix:
             n = int(rng.choice([21, 41, 61]))
             m = int(rng.integers(8, n // 2))
             grid = Grid(rng.uniform(0.5, 2.0), n)
-            kernel = np.logspace(0, -8, m)[:, None] * rng.standard_normal((m, n))
-            jac = JacobianMatrix(kernel, grid, LeftFactor.of(rng.standard_normal((n, m)), grid))
-            left, s = jac.left, grid.sqrt_weights
-            u, sigma, vt = np.linalg.svd(left.r @ (jac.matrix / s), full_matrices=False)
+            s = grid.sqrt_weights
+            kernel = np.logspace(0, -8, m)[:, None] * rng.standard_normal((m, n))  # C
+            jac = JacobianMatrix(kernel / s, grid, LeftFactor.of(rng.standard_normal((n, m)), grid))
+            left = jac.left
+            u, sigma, vt = np.linalg.svd(left.r @ jac.matrix, full_matrices=False)
             f = rng.standard_normal(m)
             exact = (vt.T @ (sigma / (sigma**2 + alpha) * (u.T @ f))) / s
             z_exact = np.linalg.solve(jac.gram + alpha * np.eye(m), f)
@@ -388,7 +401,7 @@ class TestJacobianMatrix:
             ):
                 z = z_exact + dz
                 y = jac._lift(z)
-                e = f - left.r @ (jac.matrix @ y) - alpha * z
+                e = f - left.r @ (jac.matrix @ (s * y)) - alpha * z
                 bound = np.linalg.norm(e) * math.sqrt(left.max_inverse_weight / (4 * alpha))
                 distance = np.linalg.norm(exact - y)
                 assert distance <= bound, (n, m, alpha)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -258,7 +259,9 @@ class TestModelInterfaceContract:
         # one kernel pass gives the anomaly and the Frechet entries at the
         # Chebyshev points and, in its last rows, at the check nodes, which
         # are grid nodes; every row matches the scalar kernel to 1e-13 of
-        # the largest value (the anomaly subtracts two sums of about 3)
+        # the largest value (the anomaly subtracts two sums of about 3).
+        # The Frechet rows at the points are scaled, K = C S^-1; the check
+        # rows stay in C
         p = GravimetryParams(node_count=201)
         x = point(p).values
         h = p.depth - x
@@ -266,7 +269,7 @@ class TestModelInterfaceContract:
         check = np.unique(np.round(np.linspace(0, 1, 11)[1:-1] * 200).astype(int))
         assert np.array_equal(rows.points[40:], p.grid.nodes[check])
         assert np.array_equal(rows.check_left, rows.left.matrix[check])
-        g, c = gravimetry._row_kernels(rows, h, p)
+        g, k = gravimetry._row_kernels(rows, h, p)
         scale, w = p.density / (4 * np.pi), p.grid.weights
         nodes = p.grid.nodes
         g_oracle = [
@@ -274,8 +277,10 @@ class TestModelInterfaceContract:
             for t in rows.points
         ]
         c_oracle = scale * w * 2 * h / ((rows.points[:, None] - nodes) ** 2 + h**2)
+        k_oracle = c_oracle[:40] / p.grid.sqrt_weights
         assert np.max(np.abs(g - g_oracle)) <= 1e-13 * np.max(np.abs(g_oracle))
-        assert np.max(np.abs(c - c_oracle)) <= 1e-13 * np.max(np.abs(c_oracle))
+        for got, oracle in ((k[:40], k_oracle), (k[40:], c_oracle[40:])):
+            assert np.max(np.abs(got - oracle)) <= 1e-13 * np.max(np.abs(oracle))
 
     @pytest.mark.parametrize("depth", [2.0, 1.5, 1.1, 1.01])
     def test_rank_estimate_matches_complex_bernstein_ellipse(self, depth):
@@ -343,6 +348,68 @@ class TestModelInterfaceContract:
             lhs = np.sum(w * jac.apply(f) * g)
             rhs = np.sum(w * f * jac.adjoint_apply(g))
             assert lhs == pytest.approx(rhs, rel=1e-10)
+
+
+class TestScaledRows:
+    """The kernel pass writes the Frechet rows at the Chebyshev points as
+    K = C S^-1, S = diag(sqrt(w)), and the factored Jacobian keeps K."""
+
+    @pytest.mark.parametrize("point", [initial_guess, true_interface])
+    def test_check_on_scaled_rows_matches_unscaled_formula(self, point):
+        # (P[check] K) S against the exact rows C gives the verdict of the
+        # formula on C, written out here, for the first rung (which passes,
+        # measured 5.7e-14) and the rung below it (which fails, 1.9e-12)
+        p = GravimetryParams(node_count=801)
+        h = p.depth - point(p).values
+        first = next(gravimetry._rungs(gravimetry._rank_estimate(h, p), p.node_count // 2))
+        for m, verdict in ((first, True), (first - 4, False)):
+            rows = p.chebyshev_rows(m)
+            g, k = gravimetry._row_kernels(rows, h, p)
+            d2 = (rows.points[:, None] - p.grid.nodes[None, :]) ** 2
+            c = (p.density / (2 * np.pi)) * p.grid.weights * h / (d2 + h**2)
+            unscaled = all(
+                np.abs(rows.check_left @ a[:m] - a[m:]).max() <= INTERP_TOL * np.abs(a[m:]).max()
+                for a in (g, c)
+            )
+            assert gravimetry._interpolates(rows, g, k, p) == unscaled == verdict, m
+
+    def test_rung_histogram_of_the_n801_euler_run(self, monkeypatch):
+        # n = 801, H = 2, Euler, exp:alpha0=0.1,beta=3.5, tau = 0.1: the
+        # rungs of the 80 linearizations, each on its first try
+        tried = []
+        estimate = gravimetry._rank_estimate
+        rows = GravimetryParams.chebyshev_rows
+
+        def recorded_estimate(h, p):
+            tried.append([])
+            return estimate(h, p)
+
+        def recorded_rows(p, m):
+            tried[-1].append(m)
+            return rows(p, m)
+
+        monkeypatch.setattr(gravimetry, "_rank_estimate", recorded_estimate)
+        monkeypatch.setattr(GravimetryParams, "chebyshev_rows", recorded_rows)
+        p = GravimetryParams(node_count=801)
+        model = GravimetryModel.synthetic(p)
+        config = SolverConfig(stepper="euler", tau=0.1, max_steps=500)
+        report = run_flow(model, Exponential(0.1, 3.5), initial_guess(p), config)
+        assert report.stop_reason == "alpha_floor"
+        assert all(len(t) == 1 for t in tried)
+        assert Counter(t[0] for t in tried) == {32: 18, 36: 41, 40: 21}
+
+    def test_gram_makes_no_factor_sized_array(self):
+        # G = R (K K^T) R^T reads K as it is: on a fresh n = 801 Jacobian,
+        # measured 0.09 of one m x n array (3 m x m products); rescaling the
+        # factor first peaked at 1.28
+        p = GravimetryParams(node_count=801)
+        model = GravimetryModel.synthetic(p)
+        x = initial_guess(p).values
+        model.linearize(x)  # warm: the rung's factors are cached on the params
+        jac = model.linearize(x).jacobian
+        m = jac.matrix.shape[0]
+        assert jac.left is not None and m < 64
+        assert traced_peak(lambda: jac.gram) < 0.5 * 8 * m * p.node_count
 
 
 @pytest.mark.parametrize("stepper", ["euler", "rk"])
@@ -441,6 +508,14 @@ class TestDenseAssembly:
         square = 8 * p.node_count**2
         assert traced_peak(lambda: forward(x, p)) < 1.25 * square
         assert traced_peak(lambda: frechet_matrix(x, p)) < 1.25 * square
+
+    def test_frechet_finiteness_scan_holds_no_square_mask(self):
+        # the Jacobian scans its factor for non-finite entries 64 rows at a
+        # time: measured 1.03 arrays of n x n floats at n = 801, against
+        # 1.13 with one n x n boolean mask (0.125 of an array)
+        p = GravimetryParams(node_count=801)
+        x = true_interface(p)
+        assert traced_peak(lambda: frechet_matrix(x, p)) < 1.06 * 8 * p.node_count**2
 
     def test_dense_fallback_holds_two_square_arrays(self):
         # the log ratio, dropped before the Frechet array is assembled:
