@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands:
-  solve              one flow run on the gravimetry benchmark
+  solve              one flow run on the gravimetry benchmark, whose flags
+                     are read and checked as a one-run `table` config
   table              a (schedule x tau) sweep driven by a JSON config file
   certify            evaluate the convergence certificate for given constants
   validate-schedule  check a schedule descriptor against the rate-function
@@ -19,13 +20,15 @@ from typing import Optional, Sequence
 
 from .certificate import CertificateInputs, build_certificate
 from .errors import NumericalError, ScheduleError
-from .flow import STEPPERS, SolverConfig, parse_stop_rule, run_flow
+from .flow import STEPPERS, SolverConfig, run_flow
 from .gravimetry import GravimetryParams
 from .harness import (
+    PROBLEM_KEYS,
     RunSummary,
     build_problem,
     load_spec,
     run_table,
+    spec_from_config,
     summary_cells,
     trajectory_export,
     write_table_csv,
@@ -101,28 +104,21 @@ def _fail(message: str, code: int) -> int:
 
 
 def _cmd_solve(args) -> int:
+    """One flow run.  The flags spell a one-run sweep config, which
+    `spec_from_config` checks as it checks a `table` config: with the same
+    messages, and before any data is synthesized."""
+    run = {
+        "problem": {key: getattr(args, key) for key in PROBLEM_KEYS},
+        "schedules": [args.schedule], "tau_values": [args.tau], "steppers": [args.stepper],
+        "stop_rule": args.stop, "max_steps": args.max_steps, "record_every": args.record_every,
+    }
     try:
-        schedule = parse_schedule(args.schedule)
-        stop_rule = parse_stop_rule(args.stop)
-        params = GravimetryParams(
-            half_width=args.l,
-            depth=args.H,
-            density=args.rho,
-            epsilon=args.epsilon,
-            node_count=args.grid_n,
-        )
-        config = SolverConfig(
-            stepper=args.stepper,
-            tau=args.tau,
-            max_steps=args.max_steps,
-            stop_rule=stop_rule,
-            record_every=args.record_every,
-        )
-        # an inadmissible geometry raises DomainError here: a usage error
-        model, x0, reference = build_problem(params)
+        spec = spec_from_config(run)
+        model, x0, reference = build_problem(spec.problem)
     except (ScheduleError, ValueError) as exc:
         return _fail(str(exc), USAGE_ERROR)
 
+    schedule, config = spec.schedules[0], spec.solver_config(args.stepper, args.tau)
     try:
         report = run_flow(model, schedule, x0, config, reference=reference)
         cells = summary_cells(RunSummary.of(report))

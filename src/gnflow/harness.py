@@ -197,8 +197,9 @@ def _checked(value, name: str, kind: type):
 
 
 _CONFIG_KEYS = tuple(f.name for f in fields(ExperimentSpec))
-# the GravimetryParams field of each problem key, with its JSON type
-_PROBLEM_KEYS = {
+# the GravimetryParams field of each problem key, with its JSON type; the
+# problem flags of `gnflow solve` are these keys (`--grid-n` is `grid_n`)
+PROBLEM_KEYS = {
     "l": ("half_width", float), "H": ("depth", float), "rho": ("density", float),
     "epsilon": ("epsilon", float), "grid_n": ("node_count", int),
 }
@@ -219,11 +220,11 @@ def _known_keys(doc: dict, name: str, known: Collection[str]) -> dict:
 def _problem_from_config(problem) -> Union[GravimetryParams, str]:
     if isinstance(problem, str):
         return problem
-    problem = _known_keys(_checked(problem, "problem", dict), "problem", _PROBLEM_KEYS)
+    problem = _known_keys(_checked(problem, "problem", dict), "problem", PROBLEM_KEYS)
     return GravimetryParams(
         **{
             name: _checked(problem[key], f"problem.{key}", kind)
-            for key, (name, kind) in _PROBLEM_KEYS.items()
+            for key, (name, kind) in PROBLEM_KEYS.items()
             if key in problem
         }
     )
@@ -248,7 +249,8 @@ _CONFIG_FIELDS = {
 
 
 def spec_from_config(config: dict) -> ExperimentSpec:
-    """Build a spec from a parsed JSON config document.
+    """Build a spec from a parsed JSON config document, or from the one-run
+    config that `gnflow solve` makes of its flags.
 
     Unknown keys are rejected, every field is type-checked, an absent key
     takes the default of its `ExperimentSpec` or `GravimetryParams` field,

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import gnflow
 from gnflow.cli import build_parser, main
+from gnflow.harness import TABLE_HEADER
 
 
 def run_cli(args):
@@ -290,6 +291,65 @@ class TestTable:
         cfg.write_text(json.dumps({**config, **change}))
         assert run_cli(["table", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err == f"gnflow: bad config: {message}\n"
+
+
+class TestSolveIsOneRunTable:
+    """`gnflow solve` runs the one-row sweep config that its flags spell,
+    through the settings path and the checks of `gnflow table`."""
+
+    SCHEDULE = "exp:alpha0=0.1,beta=3.5"
+
+    def _table(self, change, tmp_path, capsys):
+        """Exit code, stderr and CSV rows of `gnflow table` on the one-row
+        config with the defaults of `gnflow solve`, updated by `change`."""
+        config = {"schedules": [self.SCHEDULE], "tau_values": [0.1], "steppers": ["euler"]}
+        cfg = tmp_path / "one-run.json"
+        cfg.write_text(json.dumps({**config, **change}))
+        out = tmp_path / "table.csv"
+        rc = run_cli(["table", "--config", str(cfg), "--out", str(out)])
+        return rc, capsys.readouterr().err, read_csv(out) if rc == 0 else None
+
+    @pytest.mark.parametrize(
+        "flags, change",
+        [
+            # H = 2: the factored Jacobian
+            ([], {}),
+            # H = 1.1 at n = 201: the dense fallback
+            (
+                ["--H", "1.1", "--stepper", "rk", "--tau", "0.25"],
+                {"problem": {"H": 1.1, "grid_n": 201}, "tau_values": [0.25], "steppers": ["rk"]},
+            ),
+        ],
+    )
+    def test_summary_cells_match_the_table(self, flags, change, tmp_path, capsys):
+        out = tmp_path / "run.csv"
+        argv = ["solve", "--schedule", self.SCHEDULE, "--grid-n", "201", *flags]
+        assert run_cli([*argv, "--out", str(out)]) == 0
+        _, row = read_csv(out)
+        change = {"problem": {"grid_n": 201}, **change}
+        rc, _, table = self._table(change, tmp_path, capsys)
+        assert rc == 0 and len(table) == 2
+        start = TABLE_HEADER.index(f"N_{row[0]}")
+        assert row[3:8] == table[1][start:start + 5]
+
+    @pytest.mark.parametrize(
+        "flags, change",
+        [
+            (["--schedule", "cosine:alpha0=0.1"], {"schedules": ["cosine:alpha0=0.1"]}),
+            (["--stop", "fixed:-1"], {"stop_rule": "fixed:-1"}),
+            (["--grid-n", "200"], {"problem": {"grid_n": 200}}),
+            (["--tau", "0"], {"tau_values": [0]}),
+            (["--H", "0.9"], {"problem": {"H": 0.9}}),
+        ],
+    )
+    def test_bad_setting_has_the_table_message(self, flags, change, tmp_path, capsys):
+        rc = run_cli(["solve", "--schedule", self.SCHEDULE, *flags])
+        err = capsys.readouterr().err
+        table_rc, table_err, _ = self._table(change, tmp_path, capsys)
+        assert rc == table_rc == 2
+        message = err.removeprefix("gnflow: ")
+        assert message != err and message.strip()
+        assert table_err == f"gnflow: bad config: {message}"
 
 
 class TestCertify:
