@@ -12,11 +12,16 @@ decaying singular values and needs regularization to invert stably.
 
 Both kernels are analytic in the data coordinate t, with their nearest
 singularities at s +- i (H - x(s)).  `GravimetryModel.linearize` therefore
-evaluates them at m Chebyshev points only and interpolates onto the grid:
-the Jacobian is the factored J = P C = P K S, with P (n x m) fixed per grid
+evaluates them at m points only and interpolates onto the grid: the
+Jacobian is the factored J = P C = P K S, with P (n x m) fixed per grid
 and the Frechet rows written as K = C S^-1, S = diag(sqrt(w)), at O(mn)
 cost per linearization (Fong & Darve, J. Comput. Phys. 228, 2009;
-Trefethen, Approximation Theory and Approximation Practice, ch. 8).
+Trefethen, Approximation Theory and Approximation Practice, ch. 8).  The
+kernels are analytic in a strip of half-width min h about [-l, l], so the
+m points are Chebyshev points spread evenly by the Kosloff-Tal-Ezer map
+(J. Comput. Phys. 104, 1993; Hale & Trefethen, SIAM J. Numer. Anal. 46,
+2008), and m comes from a closed-form bound on the Bernstein ellipse of
+the mapped pole nearest the interval.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, count, dropwhile, takewhile
 from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -35,6 +41,7 @@ from .grids import Grid, GridFunction
 # Largest error of the interpolated anomaly and Frechet entries, relative to
 # the largest exact value, accepted at the check rows.
 INTERP_TOL = 1e-13
+_LOG_TOL = math.log(1.0 / INTERP_TOL)
 # Grid rows, as fractions of the grid, where the interpolation is checked
 # against the exact kernel.
 _CHECK_FRACTIONS = np.linspace(0.0, 1.0, 11)[1:-1]
@@ -43,25 +50,36 @@ _CHECK_FRACTIONS = np.linspace(0.0, 1.0, 11)[1:-1]
 _BLOCK_ROWS = 16
 
 
-def _rungs(estimate: float, limit: int) -> Iterator[int]:
-    """Chebyshev row counts m to try for an a-priori `estimate`, smallest
-    first and at most `limit`.  Below an estimate of 62 they start at the
-    smallest multiple of 4 at or above ceil(estimate) + 2 and step by 4 up
-    to 64; the smallest count that passes the check measured
-    ceil(estimate) + 0..2 on every linearization of the benchmark runs, so
-    the first one tried passes.  Past 64 they come from the fixed ladder
-    32 * 2^(k/4) rounded to a multiple of 8, from its first rung at or above
-    the estimate: 64, 80, 88, 104, 128, ..., 184, 216, 256, 304, 360, ...,
-    so shallow interfaces share few cached rungs."""
-    low = estimate
-    if estimate < 62:
-        yield from range(4 * math.ceil((math.ceil(estimate) + 2) / 4), min(64, limit) + 1, 4)
-        low = 65
-    k = 0
-    while (m := 8 * round(4 * 2 ** (k / 4))) <= limit:
-        if m >= low:
-            yield m
-        k += 1
+def _map_parameter(m: int) -> float:
+    """a = sech(ln(1/INTERP_TOL) / (m - 1)) of the point map of rung m: the
+    map's branch points u = +-1/a lie on the Bernstein ellipse whose
+    parameter, raised to the power 1 - m, is INTERP_TOL."""
+    return 1.0 / math.cosh(_LOG_TOL / (m - 1))
+
+
+def _log_bernstein(m: int, height: float) -> float:
+    """ln rho of the Bernstein ellipse, in the variable u of rung m's map,
+    through the kernel pole s + i h at s = 0 and h = height * l:
+    L = asinh(sinh(asin(a) h / l) / a).  It is the smallest over s in
+    [-l, l] and grows with h, so it bounds the convergence of every column
+    whose height is at least h.  The sinh argument is capped, far past any
+    rung's need, so that it cannot overflow."""
+    a = _map_parameter(m)
+    return math.asinh(math.sinh(min(math.asin(a) * height, 700.0)) / a)
+
+
+def _rungs(height: float, limit: int) -> Iterator[int]:
+    """Chebyshev row counts m to try for the smallest kernel height
+    `height` * l, smallest first and at most `limit`: the ladder of
+    multiples of 4 up to 64, then 32 * 2^(k/4) rounded to a multiple of 8
+    (80, 88, 104, 128, ..., 184, 216, 256, 304, 360, ...), from its first
+    rung with m >= ceil(ln(1/INTERP_TOL) / L(m)) + 2, L = `_log_bernstein`.
+    Interpolation at m mapped points converges like exp(-L (m - 1)), and
+    the 2 spare rows measured enough for the check to pass on the first
+    rung of every linearization of the benchmark runs."""
+    ladder = chain(range(4, 65, 4), (8 * round(4 * 2 ** (k / 4)) for k in count(5)))
+    rungs = takewhile(lambda m: m <= limit, ladder)
+    return dropwhile(lambda m: (m - 2) * _log_bernstein(m, height) < _LOG_TOL, rungs)
 
 
 def _squared_distances(
@@ -74,11 +92,11 @@ def _squared_distances(
 
 
 class ChebyshevRows(NamedTuple):
-    """One rung: the m Chebyshev points c_k followed by the check nodes, the
-    left factor P (n x m) that interpolates from the m points onto the grid,
-    the squared distances (c_k - s_j)^2 of all m + 9 points to the grid
-    nodes, the x-independent anomaly numerator
-    (rho / 4 pi) sum_j w_j ln((c_k - s_j)^2 + H^2) at each point, and the
+    """One rung: the m mapped Chebyshev points t_k followed by the check
+    nodes, the left factor P (n x m) that interpolates from the m points
+    onto the grid, the squared distances (t_k - s_j)^2 of all m + 9 points
+    to the grid nodes, the x-independent anomaly numerator
+    (rho / 4 pi) sum_j w_j ln((t_k - s_j)^2 + H^2) at each point, and the
     rows P[check] that interpolate onto the check nodes.  All read-only."""
 
     points: np.ndarray
@@ -153,34 +171,33 @@ class GravimetryParams:
             a.flags.writeable = False
         return weights
 
-    @cached_property
-    def _squared_node_offsets(self) -> tuple[np.ndarray, np.ndarray]:
-        """(s_j - l)^2 and (s_j + l)^2, the squared distances of the grid
-        nodes to the ends of the interval, which the rank estimate reads."""
-        nodes = self.grid.nodes
-        pair = ((nodes - self.half_width) ** 2, (nodes + self.half_width) ** 2)
-        for a in pair:
-            a.flags.writeable = False
-        return pair
-
     def chebyshev_rows(self, m: int) -> ChebyshevRows:
-        """Factors of the interpolation from m Chebyshev points of the second
-        kind on [-l, l], with the rows where it is checked, built on first
-        use and kept for the grid's lifetime (one entry per rung used)."""
+        """Factors of the interpolation from m mapped Chebyshev points on
+        [-l, l], with the rows where it is checked, built on first use and
+        kept for the grid's lifetime (one entry per rung used).  The points
+        are t_k = l asin(a u_k) / asin(a), a = `_map_parameter(m)`, for the
+        Chebyshev points of the second kind u_k, and P interpolates at u_k
+        onto the grid nodes mapped back, sin(asin(a) s_j / l) / a."""
         cache = self._rows_by_rung
         if m not in cache:
             k = np.arange(m)
-            # sine form: exactly antisymmetric points, from l down to -l
-            chebyshev = self.half_width * np.sin(np.pi * (m - 1 - 2 * k) / (2 * (m - 1)))
+            # sine form: exactly antisymmetric points, from 1 down to -1
+            chebyshev = np.sin(np.pi * (m - 1 - 2 * k) / (2 * (m - 1)))
+            a = _map_parameter(m)
+            arc = np.arcsin(a)
             nodes = self.grid.nodes
             check = np.unique(np.round(_CHECK_FRACTIONS * (self.node_count - 1)).astype(int))
-            points = np.concatenate([chebyshev, nodes[check]])
-            left = LeftFactor.of(_interpolation_matrix(nodes, chebyshev), self.grid)
+            # asin(a) / asin(a) = 1: the end points are exactly -l and l
+            mapped = self.half_width * (np.arcsin(a * chebyshev) / arc)
+            points = np.concatenate([mapped, nodes[check]])
+            mapped_nodes = np.sin((arc / self.half_width) * nodes) / a
+            mapped_nodes[[0, -1]] = -1.0, 1.0
+            left = LeftFactor.of(_interpolation_matrix(mapped_nodes, chebyshev), self.grid)
             d2 = _squared_distances(points, nodes)
             numerator = np.log(d2 + self.depth**2) @ self._row_weights[0]
             check_left = left.matrix[check]
-            for a in (points, d2, numerator, check_left):
-                a.flags.writeable = False
+            for array in (points, d2, numerator, check_left):
+                array.flags.writeable = False
             cache[m] = ChebyshevRows(points, left, d2, numerator, check_left)
         return cache[m]
 
@@ -239,20 +256,6 @@ def _row_kernels(
     np.divide(h * row_weights, den[:m], out=den[:m])
     np.divide(h * check_weights, den[m:], out=den[m:])
     return g, den
-
-
-def _rank_estimate(h: np.ndarray, p: GravimetryParams) -> float:
-    """A-priori Chebyshev row count for INTERP_TOL, log(1/INTERP_TOL) /
-    log(rho_min): rho_j = a_j + sqrt(a_j^2 - 1), a_j = (|z_j - 1| + |z_j + 1|) / 2,
-    is the parameter of the Bernstein ellipse through the nearest pole
-    z_j = (s_j + i h_j) / l of column j, and interpolation at m points
-    converges like rho_min^-m.  |z_j -+ 1| l = sqrt((s_j -+ l)^2 + h_j^2),
-    from the squared offsets cached on `p`."""
-    below, above = p._squared_node_offsets
-    h2 = h * h
-    a = max(float((np.sqrt(below + h2) + np.sqrt(above + h2)).min()) / (2.0 * p.half_width), 1.0)
-    rho = a + math.sqrt((a - 1.0) * (a + 1.0))
-    return math.log(1.0 / INTERP_TOL) / math.log(rho) if rho > 1.0 else math.inf
 
 
 def _interpolates(rows: ChebyshevRows, g: np.ndarray, k: np.ndarray, p: GravimetryParams) -> bool:
@@ -338,8 +341,11 @@ def synthesize_data(p: GravimetryParams) -> GridFunction:
 
 
 def true_interface(p: GravimetryParams) -> GridFunction:
-    """Benchmark interface sampled on the model grid."""
-    return GridFunction(p.grid, (1.0 - p.grid.nodes**2) ** 2)
+    """Benchmark interface sampled on the model grid.  Past a half-width of
+    about 1e77 it overflows, which GridFunction rejects as non-finite."""
+    with np.errstate(over="ignore"):
+        values = (1.0 - p.grid.nodes**2) ** 2
+    return GridFunction(p.grid, values)
 
 
 def initial_guess(p: GravimetryParams) -> GridFunction:
@@ -370,9 +376,9 @@ class GravimetryModel(OperatorModel):
 
     def linearize(self, x: np.ndarray) -> Linearization:
         """phi(x) and the factored phi'(x) = P C = P K S from the kernel at m
-        Chebyshev rows: the anomaly g_c and the scaled Frechet rows
+        mapped Chebyshev rows: the anomaly g_c and the scaled Frechet rows
         K = C S^-1 are evaluated there, and the residual is P g_c - y.  m is
-        the first of `_rungs` for the a-priori estimate whose interpolation
+        the first of `_rungs` for the smallest height whose interpolation
         passes the check nodes, which the same kernel pass evaluates
         exactly (in C, unscaled); the kernel array is made read-only
         and handed over as a view, which the Jacobian keeps without a copy.
@@ -383,7 +389,7 @@ class GravimetryModel(OperatorModel):
         above the admissible ceiling."""
         p = self.params
         h = _heights(x, p)
-        for m in _rungs(_rank_estimate(h, p), p.node_count // 2):
+        for m in _rungs(float(h.min()) / p.half_width, p.node_count // 2):
             rows = p.chebyshev_rows(m)
             g, k = _row_kernels(rows, h, p)
             k.flags.writeable = False  # so that JacobianMatrix keeps k[:m] uncopied

@@ -116,6 +116,17 @@ class TestSolve:
         assert rc == 1 and out == ""
         assert err == "gnflow: discrepancy at x0 is not finite: its sum of squares overflows\n"
 
+    # a half-width of 1e150 overflows the true interface without a numpy warning
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_true_interface_usage_error(self, capsys):
+        rc = run_cli(
+            ["solve", "--schedule", "exp:alpha0=0.1,beta=3.5", "--grid-n", "21",
+             "--max-steps", "3", "--l", "1e150"]
+        )
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err == "gnflow: grid function contains NaN or infinite values\n"
+
     def test_malformed_schedule_usage_error(self, capsys):
         rc = run_cli(["solve", "--schedule", "exp:alpha0=0.1"])
         assert rc == 2
@@ -236,6 +247,20 @@ class TestTable:
         cfg_path.write_text(json.dumps(config))
         assert run_cli(["table", "--config", str(cfg_path), "--out", str(tmp_path / "t.csv")]) == 0
         assert len(calls) == 1
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_true_interface_usage_error(self, tmp_path, capsys):
+        config = {
+            "problem": {"l": 1e150, "grid_n": 21},
+            "schedules": ["exp:alpha0=0.1,beta=3.5"],
+            "tau_values": [0.1],
+            "max_steps": 3,
+        }
+        cfg = tmp_path / "wide.json"
+        cfg.write_text(json.dumps(config))
+        assert run_cli(["table", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err == "gnflow: bad config: grid function contains NaN or infinite values\n"
 
     def test_missing_config_usage_error(self, tmp_path):
         rc = run_cli(["table", "--config", str(tmp_path / "nope.json")])

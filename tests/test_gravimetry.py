@@ -284,50 +284,78 @@ class TestModelInterfaceContract:
 
     @pytest.mark.parametrize("depth", [2.0, 1.5, 1.1, 1.01])
     def test_rank_estimate_matches_complex_bernstein_ellipse(self, depth):
-        # the real-arithmetic rho_min = a + sqrt(a^2 - 1) against the complex
-        # |z + sqrt(z - 1) sqrt(z + 1)|, z = (s + i h) / l
+        # the closed form L = asinh(sinh(asin(a) h_min / l) / a) against the
+        # complex ln|u + sqrt(u - 1) sqrt(u + 1)| of the mapped poles
+        # u = sin(asin(a) (s + i h) / l) / a, minimized over the columns:
+        # equal where the smallest height sits at the centre (x0 and the
+        # true interface), and at most the minimum on random admissible
+        # interfaces, whose smallest height sits anywhere
         p = GravimetryParams(node_count=201, depth=depth)
-        for x in (initial_guess(p).values, true_interface(p).values):
-            h = p.depth - x
-            z = (p.grid.nodes + 1j * h) / p.half_width
-            rho = np.min(np.abs(z + np.sqrt(z - 1) * np.sqrt(z + 1)))
-            expected = math.log(1 / INTERP_TOL) / math.log(rho)
-            assert gravimetry._rank_estimate(h, p) == pytest.approx(expected, rel=1e-9)
+        rng = np.random.default_rng(29)
+        centred = (initial_guess(p).values, true_interface(p).values)
+        randoms = [rng.uniform(0.0, p.depth - p.epsilon, p.node_count) for _ in range(4)]
+        for m in (8, 32, 64, 216, 400):
+            a = gravimetry._map_parameter(m)
+
+            def column_min(x):
+                z = (p.grid.nodes + 1j * (p.depth - x)) / p.half_width
+                u = np.sin(np.arcsin(a) * z) / a
+                return np.log(np.abs(u + np.sqrt(u - 1) * np.sqrt(u + 1))).min()
+
+            def closed(x):
+                return gravimetry._log_bernstein(m, (p.depth - x.max()) / p.half_width)
+
+            for x in centred:
+                assert closed(x) == pytest.approx(column_min(x), rel=1e-9), m
+            for x in randoms:
+                assert closed(x) <= column_min(x) * (1 + 1e-12), m
 
     def test_rung_rule(self):
-        # below an estimate of 62: the smallest multiple of 4 at or above
-        # ceil(estimate) + 2, then steps of 4 up to 64; past 64, and for any
-        # larger estimate, the fixed ladder; nothing above the limit
+        # the ladder is the multiples of 4 up to 64, then 32 * 2^(k/4)
+        # rounded to a multiple of 8; the first rung is the smallest ladder
+        # m with m >= ceil(ln(1/INTERP_TOL) / L(m)) + 2, and the rungs above
+        # it follow in ladder order; nothing above the limit
         ladder = [80, 88, 104, 128, 152, 184, 216, 256, 304, 360]
-        assert list(gravimetry._rungs(33.2, 400)) == [36, 40, 44, 48, 52, 56, 60, 64] + ladder
-        assert list(gravimetry._rungs(34.0, 400))[:2] == [36, 40]
-        assert list(gravimetry._rungs(35.0, 400))[:2] == [40, 44]
-        assert list(gravimetry._rungs(3.5, 12)) == [8, 12]
-        assert list(gravimetry._rungs(61.5, 100)) == [64, 80, 88]
-        assert list(gravimetry._rungs(62.5, 400)) == [64] + ladder
-        assert list(gravimetry._rungs(300.0, 400)) == [304, 360]
-        assert list(gravimetry._rungs(math.inf, 400)) == []
+        assert list(gravimetry._rungs(1.0, 400)) == [32, 36, 40, 44, 48, 52, 56, 60, 64] + ladder
+        assert list(gravimetry._rungs(1.0, 40)) == [32, 36, 40]
+        assert list(gravimetry._rungs(0.5, 400))[:2] == [56, 60]
+        assert list(gravimetry._rungs(0.3, 400)) == ladder
+        assert list(gravimetry._rungs(0.1, 400)) == [216, 256, 304, 360]
+        assert list(gravimetry._rungs(1.0, 12)) == []
+        assert list(gravimetry._rungs(1e-3, 400)) == []
+        # a huge height neither overflows nor asks for more than 4 rows
+        assert list(gravimetry._rungs(1e300, 12)) == [4, 8, 12]
+        for height in (10.0, 2.0, 1.0, 0.9, 0.5, 0.3, 0.1):
+            first, *_ = gravimetry._rungs(height, 400)
+            estimate = {
+                m: math.log(1 / INTERP_TOL) / gravimetry._log_bernstein(m, height)
+                for m in [*range(4, 65, 4), *ladder]
+            }
+            rule = [m for m, e in estimate.items() if m >= math.ceil(e) + 2]
+            assert first == rule[0], height
 
     @pytest.mark.parametrize(
         ("node_count", "stepper", "beta"), [(801, "euler", 3.5), (201, "rk", 1.0)]
     )
     def test_first_rung_passes_its_check(self, monkeypatch, node_count, stepper, beta):
         # every linearization of a whole run takes one Chebyshev rung, the
-        # first it tries, and that rung has at most ceil(estimate) + 5 rows
-        # (the smallest passing count is ceil(estimate) + 0..2)
+        # first it tries, and that rung has at most ceil(estimate) + 6 rows
+        # for the estimate ln(1/INTERP_TOL) / L(m) at its own m: the rule's
+        # 2 spare rows and a ladder step of 4, which the growth of L with m
+        # widens by one (measured +2..+6 on both runs)
         attempts = []
-        estimate = gravimetry._rank_estimate
+        rungs = gravimetry._rungs
         rows = GravimetryParams.chebyshev_rows
 
-        def recorded_estimate(h, p):
-            attempts.append((estimate(h, p), []))
-            return attempts[-1][0]
+        def recorded_rungs(height, limit):
+            attempts.append((height, []))
+            return rungs(height, limit)
 
         def recorded_rows(p, m):
             attempts[-1][1].append(m)
             return rows(p, m)
 
-        monkeypatch.setattr(gravimetry, "_rank_estimate", recorded_estimate)
+        monkeypatch.setattr(gravimetry, "_rungs", recorded_rungs)
         monkeypatch.setattr(GravimetryParams, "chebyshev_rows", recorded_rows)
         p = GravimetryParams(node_count=node_count)
         config = SolverConfig(stepper=stepper, tau=0.1, max_steps=500)
@@ -335,8 +363,10 @@ class TestModelInterfaceContract:
         report = run_flow(model, Exponential(0.1, beta), initial_guess(p), config)
         assert not report.diverged
         assert len(attempts) > report.steps_taken
-        for rank, tried in attempts:
-            assert len(tried) == 1 and tried[0] <= math.ceil(rank) + 5, (rank, tried)
+        for height, tried in attempts:
+            assert len(tried) == 1, (height, tried)
+            estimate = math.log(1 / INTERP_TOL) / gravimetry._log_bernstein(tried[0], height)
+            assert tried[0] <= math.ceil(estimate) + 6, (height, tried)
 
     def test_adjoint_identity(self, benchmark_model):
         jac = benchmark_model.jacobian(initial_guess(benchmark_model.params))
@@ -357,11 +387,12 @@ class TestScaledRows:
     @pytest.mark.parametrize("point", [initial_guess, true_interface])
     def test_check_on_scaled_rows_matches_unscaled_formula(self, point):
         # (P[check] K) S against the exact rows C gives the verdict of the
-        # formula on C, written out here, for the first rung (which passes,
-        # measured 5.7e-14) and the rung below it (which fails, 1.9e-12)
+        # formula on C, written out here, for the first rung (32, which
+        # passes, measured 3.6e-14) and the rung below it (28, which fails)
         p = GravimetryParams(node_count=801)
         h = p.depth - point(p).values
-        first = next(gravimetry._rungs(gravimetry._rank_estimate(h, p), p.node_count // 2))
+        first = next(gravimetry._rungs(h.min() / p.half_width, p.node_count // 2))
+        assert first == 32
         for m, verdict in ((first, True), (first - 4, False)):
             rows = p.chebyshev_rows(m)
             g, k = gravimetry._row_kernels(rows, h, p)
@@ -377,18 +408,18 @@ class TestScaledRows:
         # n = 801, H = 2, Euler, exp:alpha0=0.1,beta=3.5, tau = 0.1: the
         # rungs of the 80 linearizations, each on its first try
         tried = []
-        estimate = gravimetry._rank_estimate
+        rungs = gravimetry._rungs
         rows = GravimetryParams.chebyshev_rows
 
-        def recorded_estimate(h, p):
+        def recorded_rungs(height, limit):
             tried.append([])
-            return estimate(h, p)
+            return rungs(height, limit)
 
         def recorded_rows(p, m):
             tried[-1].append(m)
             return rows(p, m)
 
-        monkeypatch.setattr(gravimetry, "_rank_estimate", recorded_estimate)
+        monkeypatch.setattr(gravimetry, "_rungs", recorded_rungs)
         monkeypatch.setattr(GravimetryParams, "chebyshev_rows", recorded_rows)
         p = GravimetryParams(node_count=801)
         model = GravimetryModel.synthetic(p)
@@ -396,7 +427,26 @@ class TestScaledRows:
         report = run_flow(model, Exponential(0.1, 3.5), initial_guess(p), config)
         assert report.stop_reason == "alpha_floor"
         assert all(len(t) == 1 for t in tried)
-        assert Counter(t[0] for t in tried) == {32: 18, 36: 41, 40: 21}
+        assert Counter(t[0] for t in tried) == {28: 12, 32: 60, 36: 8}
+
+    @pytest.mark.parametrize("depth", [2.0, 1.1])
+    @pytest.mark.parametrize("point", [initial_guess, true_interface])
+    def test_accepted_rung_interpolates_at_every_node(self, depth, point):
+        # the check covers nine nodes; at n = 801 the accepted rung's
+        # residual and P K S are within INTERP_TOL of the dense forward map
+        # less the data and of the dense Frechet matrix at every grid node,
+        # relative to the largest exact value.  Measured: residual at most
+        # 2.0e-15 and Frechet 3.6e-14 (H = 2, m = 32), 6.2e-14 (H = 1.1,
+        # m = 216); the end nodes, where P has exact unit rows, 3.3e-16
+        p = GravimetryParams(node_count=801, depth=depth)
+        model = GravimetryModel.synthetic(p)
+        x = point(p)
+        res, jac = model.linearize(x.values)
+        assert jac.left is not None
+        exact = forward(x, p).values
+        assert np.abs(res - (exact - model.data.values)).max() <= INTERP_TOL * np.abs(exact).max()
+        dense = frechet_matrix(x, p).matrix
+        assert np.abs(jac.apply(np.eye(p.node_count)) - dense).max() <= INTERP_TOL * dense.max()
 
     def test_gram_makes_no_factor_sized_array(self):
         # G = R (K K^T) R^T reads K as it is: on a fresh n = 801 Jacobian,
