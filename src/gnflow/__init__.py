@@ -45,9 +45,7 @@ from .flow import (
     RunReport,
     SolverConfig,
     TrajectoryPoint,
-    euler_step,
     parse_stop_rule,
-    rk_midpoint_step,
     run_flow,
     velocity,
 )

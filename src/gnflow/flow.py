@@ -493,8 +493,8 @@ def _step(
     lin: Linearization,
     midpoint: bool,
 ) -> np.ndarray:
-    """x_{k+1} from alpha(t_k) and the linearization at x_k, as nodal values:
-    a step along d, (J* J + alpha I) d = -(J* phi + alpha (x - x0)), at x_k
+    """x_{k+1} = x_k + tau d, as nodal values, from alpha(t_k) and the
+    linearization at x_k: the one step routine, with d = `velocity` at x_k
     or, for the midpoint rule, at x_half = x_k + (tau/2) d, linearized here."""
     d = lin.jacobian.normal_solve(alpha_k, lin.residual, x_k - x0)
     # each solve returns a fresh d, so it is scaled and shifted in place
@@ -525,45 +525,14 @@ def velocity(
     weighted adjoint J*; the system matrix is symmetric positive definite in
     the weighted inner product.  Checks that x and x0 live on the model grid,
     linearizes x (raising DomainError when it is inadmissible) and computes
-    d with the normal solve `run_flow` uses.
+    d with the normal solve `run_flow` uses.  Euler is x + tau F(t, x), at
+    tau = 1 a damped Gauss-Newton iteration, and midpoint
+    x + tau F(t + tau/2, x + (tau/2) F(t, x)); k fixed steps of `run_flow`
+    equal k such compositions of F bit for bit.
     """
     lin = _linearize_on_grid(model, "x and x0", x, x0)
     d = lin.jacobian.normal_solve(schedule.alpha(t), lin.residual, x.values - x0.values)
     return GridFunction(model.grid, d)
-
-
-def euler_step(
-    model: OperatorModel,
-    schedule: Schedule,
-    t_k: float,
-    x_k: GridFunction,
-    x0: GridFunction,
-    tau: float,
-) -> GridFunction:
-    """x_{k+1} = x_k + tau * F(t_k, x_k); with tau = 1 this is one damped
-    Gauss-Newton iteration with regularization alpha(t_k).  Validates x_k
-    and x0 as `velocity` does and shares its step routine with `run_flow`."""
-    lin = _linearize_on_grid(model, "x and x0", x_k, x0)
-    x = _step(model, schedule, t_k, schedule.alpha(t_k), x_k.values, x0.values, tau, lin, False)
-    return GridFunction(model.grid, x)
-
-
-def rk_midpoint_step(
-    model: OperatorModel,
-    schedule: Schedule,
-    t_k: float,
-    x_k: GridFunction,
-    x0: GridFunction,
-    tau: float,
-) -> GridFunction:
-    """Explicit midpoint step: half Euler step, then a full step using the
-    velocity at (t_k + tau/2, x_half).  Second-order accurate in tau.
-    Validates x_k and x0 as `velocity` does, raises DomainError for an
-    inadmissible half-step point, and shares its step routine with
-    `run_flow`."""
-    lin = _linearize_on_grid(model, "x and x0", x_k, x0)
-    x = _step(model, schedule, t_k, schedule.alpha(t_k), x_k.values, x0.values, tau, lin, True)
-    return GridFunction(model.grid, x)
 
 
 def run_flow(

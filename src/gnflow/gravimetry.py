@@ -220,26 +220,6 @@ def _heights(x: np.ndarray, p: GravimetryParams) -> np.ndarray:
     return p.depth - x
 
 
-def _log_ratio(d2: np.ndarray, den: np.ndarray, p: GravimetryParams) -> np.ndarray:
-    """The kernel ln((d2 + H^2) / den), written over the squared distances
-    `d2`, for the kernel denominator den = d2 + h^2 (left unchanged)."""
-    d2 += p.depth**2
-    d2 /= den
-    return np.log(d2, out=d2)
-
-
-def _anomaly(kernel: np.ndarray, p: GravimetryParams) -> np.ndarray:
-    """Anomaly c (kernel @ w), c = rho / 4 pi, at the rows of the log-ratio
-    `kernel`."""
-    return (p.density / (4.0 * np.pi)) * (kernel @ p.grid.weights)
-
-
-def _frechet_entries(den: np.ndarray, h: np.ndarray, p: GravimetryParams) -> np.ndarray:
-    """Frechet matrix entries (2 c h_j w_j) / den, c = rho / 4 pi, written
-    over the kernel denominator `den` in one divide."""
-    return np.divide((p.density / (2.0 * np.pi)) * h * p.grid.weights, den, out=den)
-
-
 def _row_kernels(
     rows: ChebyshevRows, h: np.ndarray, p: GravimetryParams
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -278,12 +258,11 @@ def _interpolates(rows: ChebyshevRows, g: np.ndarray, k: np.ndarray, p: Gravimet
 
 
 def _dense_anomaly(h: np.ndarray, p: GravimetryParams) -> np.ndarray:
-    """The anomaly at heights h = H - x by Simpson quadrature on the dense
-    n x n log-ratio kernel (assembled here and dropped on return).
-
-    The kernel is the one n x n array: it is filled _BLOCK_ROWS rows at a
-    time, with the squared distances and denominators of a block as
-    temporaries, and then multiplied by the weights in one matvec, which
+    """The anomaly c (kernel @ w), c = rho / 4 pi, at heights h = H - x, on
+    the dense log-ratio kernel ln((d2 + H^2) / (d2 + h^2)), the one n x n
+    array: filled _BLOCK_ROWS rows at a time, each block's squared
+    distances d2 turned into it in place with the block's denominators as
+    the temporary, then multiplied by the weights in one matvec, which
     keeps the anomaly bit-identical to the unblocked formula (a matvec per
     block would sum in another order)."""
     h2 = h**2
@@ -292,20 +271,23 @@ def _dense_anomaly(h: np.ndarray, p: GravimetryParams) -> np.ndarray:
     for start in range(0, p.node_count, _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
         d2 = _squared_distances(nodes[rows], nodes, out=kernel[rows])
-        _log_ratio(d2, d2 + h2, p)
-    return _anomaly(kernel, p)
+        den = d2 + h2
+        d2 += p.depth**2
+        d2 /= den
+        np.log(d2, out=d2)
+    return (p.density / (4.0 * np.pi)) * (kernel @ p.grid.weights)
 
 
 def _dense_frechet(h: np.ndarray, p: GravimetryParams) -> JacobianMatrix:
-    """The dense Jacobian at heights h = H - x, assembled in place in one
-    n x n array (squared distances, plus h^2, divided into the weighted
-    heights), which is made read-only and handed to the Jacobian as a
-    view, uncopied."""
+    """The dense Jacobian (2 c h_j w_j) / (d2 + h_j^2), c = rho / 4 pi, at
+    heights h = H - x, assembled in place in one n x n array (squared
+    distances d2, plus h^2, divided into the weighted heights), which is
+    made read-only and handed to the Jacobian as a view, uncopied."""
     den = _squared_distances(p.grid.nodes, p.grid.nodes)
     den += h**2
-    j = _frechet_entries(den, h, p)
-    j.flags.writeable = False  # so that JacobianMatrix keeps the view j[:] uncopied
-    return JacobianMatrix(j[:], p.grid)
+    np.divide((p.density / (2.0 * np.pi)) * h * p.grid.weights, den, out=den)
+    den.flags.writeable = False  # so that JacobianMatrix keeps the view den[:] uncopied
+    return JacobianMatrix(den[:], p.grid)
 
 
 def forward(x: GridFunction, p: GravimetryParams) -> GridFunction:

@@ -26,11 +26,9 @@ from gnflow import (
     OperatorModel,
     Schedule,
     SolverConfig,
-    euler_step,
     frechet_matrix,
     initial_guess,
     l2_norm,
-    rk_midpoint_step,
     run_flow,
     true_interface,
     velocity,
@@ -42,6 +40,24 @@ from gnflow.synthetic import DiagonalLinearModel, certified_diagonal_instance
 from conftest import LinearMatrixModel, dense_oracle, identity_model, symmetrized
 
 UNIT_SCHEDULE = Exponential(1.0, 1.0)  # alpha(0) = 1
+
+
+def euler(model, schedule, t, x, x0, tau):
+    """x + tau F(t, x): one Euler step composed from `velocity`."""
+    d = velocity(model, schedule, t, x, x0)
+    return GridFunction(model.grid, x.values + tau * d.values)
+
+
+def midpoint(model, schedule, t, x, x0, tau):
+    """x + tau F(t + tau/2, x + (tau/2) F(t, x)): one explicit midpoint step
+    composed from `velocity`."""
+    d = velocity(model, schedule, t, x, x0)
+    x_half = GridFunction(model.grid, x.values + 0.5 * tau * d.values)
+    d = velocity(model, schedule, t + 0.5 * tau, x_half, x0)
+    return GridFunction(model.grid, x.values + tau * d.values)
+
+
+STEPS = {"euler": euler, "rk": midpoint}
 
 
 class CountingModel(OperatorModel):
@@ -273,21 +289,23 @@ class TestJacobianMatrix:
         assert jac.left is not None and not jac.matrix.flags.owndata
 
     def test_dense_fallback_keeps_its_kernel_array(self, monkeypatch):
-        # at n = 201, H = 1.1 linearize returns `frechet_matrix`, whose
-        # n x n Frechet array, the last entries written, the Jacobian keeps
-        # as a read-only view instead of a copy
-        entries = gravimetry._frechet_entries
+        # at n = 201, H = 1.1 linearize returns the Jacobian of
+        # `_dense_frechet`, which keeps its read-only n x n Frechet array as
+        # a view instead of a copy
+        dense = gravimetry._dense_frechet
         built = []
 
         def recorded(*args):
-            built.append(entries(*args))
+            built.append(dense(*args))
             return built[-1]
 
-        monkeypatch.setattr(gravimetry, "_frechet_entries", recorded)
+        monkeypatch.setattr(gravimetry, "_dense_frechet", recorded)
         params = GravimetryParams(node_count=201, depth=1.1)
         res, jac = GravimetryModel.synthetic(params).linearize(initial_guess(params).values)
-        assert jac.left is None and built[-1].shape == (201, 201)
-        assert np.shares_memory(jac.matrix, built[-1]) and not jac.matrix.flags.writeable
+        assert jac is built[-1] and jac.left is None
+        kernel = jac.matrix.base  # None for a copy
+        assert kernel is not None and kernel.shape == (201, 201)
+        assert not kernel.flags.writeable and not jac.matrix.flags.writeable
 
     def test_read_only_factor_with_nan_rejected(self):
         params = GravimetryParams(node_count=201)
@@ -530,25 +548,23 @@ class TestVelocity:
 
 
 class TestSteppers:
-    @pytest.mark.parametrize("step", [velocity, euler_step, rk_midpoint_step])
-    def test_input_point_checked(self, benchmark_model, step):
+    def test_input_point_checked(self, benchmark_model):
         # the linearization of the input point is its admissibility check
         p = benchmark_model.params
-        tau = () if step is velocity else (0.1,)
         x0 = initial_guess(p)
         too_high = GridFunction.constant(p.grid, p.depth)
         with pytest.raises(DomainError, match="^interface value 2 exceeds admissible ceiling"):
-            step(benchmark_model, UNIT_SCHEDULE, 0.0, too_high, x0, *tau)
+            velocity(benchmark_model, UNIT_SCHEDULE, 0.0, too_high, x0)
         foreign = GridFunction.constant(Grid(1.0, 21), 1.0)
         for x, anchor in ((foreign, x0), (x0, foreign)):
             with pytest.raises(GridMismatchError):
-                step(benchmark_model, UNIT_SCHEDULE, 0.0, x, anchor, *tau)
+                velocity(benchmark_model, UNIT_SCHEDULE, 0.0, x, anchor)
 
     def test_euler_fixed_point(self):
         grid = Grid(1.0, 5)
         sol = GridFunction(grid, np.linspace(0.2, 0.8, 5))
         model = DiagonalLinearModel(sol, np.ones(5))
-        x1 = euler_step(model, UNIT_SCHEDULE, 0.0, sol, sol, tau=0.7)
+        x1 = euler(model, UNIT_SCHEDULE, 0.0, sol, sol, tau=0.7)
         np.testing.assert_allclose(x1.values, sol.values, atol=1e-14)
 
     def test_euler_scalar_arithmetic(self):
@@ -556,9 +572,9 @@ class TestSteppers:
         model = identity_model(grid)
         x = GridFunction.constant(grid, 2.0)
         x0 = GridFunction.constant(grid, 0.0)
-        x1 = euler_step(model, UNIT_SCHEDULE, 0.0, x, x0, tau=0.1)
+        x1 = euler(model, UNIT_SCHEDULE, 0.0, x, x0, tau=0.1)
         np.testing.assert_allclose(x1.values, 1.8, rtol=1e-13)
-        x1 = euler_step(model, UNIT_SCHEDULE, 0.0, x, x0, tau=1.0)
+        x1 = euler(model, UNIT_SCHEDULE, 0.0, x, x0, tau=1.0)
         np.testing.assert_allclose(x1.values, 0.0, atol=1e-13)
 
     def test_euler_tau_one_matches_damped_gauss_newton(self):
@@ -583,14 +599,14 @@ class TestSteppers:
             direct = x.values - np.linalg.inv(adj @ a + alpha * np.eye(n)) @ (
                 adj @ (a @ x.values - b) + alpha * (x.values - x0.values)
             )
-            stepped = euler_step(model, schedule, t_k, x, x0, tau=1.0)
+            stepped = euler(model, schedule, t_k, x, x0, tau=1.0)
             np.testing.assert_allclose(stepped.values, direct, rtol=1e-12, atol=1e-13)
 
     def test_rk_fixed_point(self):
         grid = Grid(1.0, 5)
         sol = GridFunction(grid, np.linspace(0.2, 0.8, 5))
         model = DiagonalLinearModel(sol, np.ones(5))
-        x1 = rk_midpoint_step(model, UNIT_SCHEDULE, 0.0, sol, sol, tau=0.7)
+        x1 = midpoint(model, UNIT_SCHEDULE, 0.0, sol, sol, tau=0.7)
         np.testing.assert_allclose(x1.values, sol.values, atol=1e-14)
 
     def test_rk_against_exponential_decay(self):
@@ -599,7 +615,7 @@ class TestSteppers:
         model = identity_model(grid)
         x = GridFunction.constant(grid, 1.0)
         x0 = GridFunction.constant(grid, 0.0)
-        x1 = rk_midpoint_step(model, UNIT_SCHEDULE, 0.0, x, x0, tau=0.1)
+        x1 = midpoint(model, UNIT_SCHEDULE, 0.0, x, x0, tau=0.1)
         np.testing.assert_allclose(x1.values, 0.905, rtol=1e-13)
         assert abs(x1.values[0] - np.exp(-0.1)) <= 0.1**3
 
@@ -610,7 +626,7 @@ class TestSteppers:
         x0 = GridFunction.constant(grid, 0.0)
 
         def one_step_error(tau):
-            x1 = rk_midpoint_step(model, UNIT_SCHEDULE, 0.0, x, x0, tau=tau)
+            x1 = midpoint(model, UNIT_SCHEDULE, 0.0, x, x0, tau=tau)
             return abs(x1.values[0] - np.exp(-tau))
 
         ratio = one_step_error(0.1) / one_step_error(0.05)
@@ -940,7 +956,7 @@ class TestRunFlow:
         x, t_k = report.final_x, report.steps_taken * tau
         assert params.admissibility_violation(x.values) is None
         if stepper == "euler":
-            bad = euler_step(model, schedule, t_k, x, x0, tau)
+            bad = euler(model, schedule, t_k, x, x0, tau)
             prefix = "diverged: "
         else:
             d1 = velocity(model, schedule, t_k, x, x0)
@@ -987,7 +1003,7 @@ class TestRunFlow:
         assert report.stop_reason == "diverged: grid function contains NaN or infinite values"
         last = 2 if stepper == "euler" else 1
         assert report.steps_taken == last and report.trajectory[-1].step == last
-        step = euler_step if stepper == "euler" else rk_midpoint_step
+        step = STEPS[stepper]
         x = x0
         for i in range(last):
             x = step(LinearMatrixModel(grid, a, b), UNIT_SCHEDULE, i * tau, x, x0, tau)
@@ -1033,14 +1049,18 @@ class TestRunFlow:
             run_flow(model, UNIT_SCHEDULE, x0, SolverConfig(), reference=reference)
 
     @pytest.mark.parametrize("stepper", ["euler", "rk"])
-    @pytest.mark.parametrize("problem", ["gravimetry", "diagonal", "matrix"])
+    @pytest.mark.parametrize("problem", ["gravimetry", "dense-fallback", "diagonal", "matrix"])
     def test_run_flow_matches_manual_steps(self, stepper, problem):
-        # run_flow's internal stage path and the public steppers agree bit
-        # for bit
-        if problem == "gravimetry":
-            params = GravimetryParams(node_count=201)
+        # run_flow's step routine and the steps composed from `velocity`
+        # agree bit for bit
+        if problem in ("gravimetry", "dense-fallback"):
+            # at H = 1.1 every Jacobian of the n = 201 run is the dense one
+            depth = 2.0 if problem == "gravimetry" else 1.1
+            params = GravimetryParams(node_count=201, depth=depth)
             model, schedule = GravimetryModel.synthetic(params), Exponential(0.1, 3.5)
             x0, k = initial_guess(params), 12
+            dense = model.linearize(x0.values).jacobian.left is None
+            assert dense == (problem == "dense-fallback")
         elif problem == "matrix":
             # a model that defines only grid and linearize
             rng = np.random.default_rng(36)
@@ -1054,7 +1074,7 @@ class TestRunFlow:
         config = SolverConfig(stepper=stepper, tau=tau, max_steps=k, stop_rule=FixedSteps(k))
         report = run_flow(model, schedule, x0, config)
         assert report.steps_taken == k and not report.diverged
-        step = euler_step if stepper == "euler" else rk_midpoint_step
+        step = STEPS[stepper]
         x = x0
         for i in range(k):
             x = step(model, schedule, i * tau, x, x0, tau)
